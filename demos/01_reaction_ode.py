@@ -65,4 +65,4 @@ for rtol in (1e-6, 1e-9, 1e-12):
     tr = integrate(EigenTriple(1.0, 1.0, 1.0), p0, 0.0, 0.2, cfg)
     err = abs(tr.states_array[-1][0] - isotropic_solution(1.0, p0, 0.2))
     print(f"   rel_tol={rtol:.0e}  ->  end-state error {err:.2e} "
-          f"({tr.stats['accepted']} steps)")
+          f"({tr.stats['accepted']} steps, {tr.stats['rhs_evals']} RHS evaluations)")

@@ -154,7 +154,8 @@ class DerivedCurvatures:
 def _rhs_f(
     lam: float, mu: float, nu: float, rho: float
 ) -> tuple[float, float, float]:
-    """Scalar reaction kernel; hot path for the integrator."""
+    """Scalar reaction kernel.  The integrator writes these expressions
+    out inline at each stage; keep the two in step."""
     t4 = 4.0 * rho * (lam + mu + nu)
     return (
         2.0 * lam * lam + 2.0 * mu * nu - t4 * lam,

@@ -7,10 +7,11 @@ and the first-same-as-last property saves one derivative evaluation per
 step.  Step sizes follow a proportional-integral controller
 (alpha = 0.7/5, beta = 0.4/5, safety 0.9, factors clamped to [0.2, 10]),
 which damps the accept/reject oscillation a plain I-controller shows on
-rapidly growing solutions.  Each accepted step stores the quartic dense
-interpolant of Shampine for the pair, so trajectories can be sampled
-anywhere in the covered interval at interpolation error of the same
-order as the local tolerance.
+rapidly growing solutions.  Each accepted step keeps its stage
+derivatives; when the trajectory ends, the quartic dense interpolant of
+Shampine for the pair is formed for all steps at once, so trajectories
+can be sampled anywhere in the covered interval at interpolation error
+of the same order as the local tolerance.
 
 Blow-up is part of the model, not a failure: the quadratic reaction
 drives generic data to infinity in finite time.  A step whose accepted
@@ -32,7 +33,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .eigen_ode import EigenTriple, FlowParams, _rhs_f
+from .eigen_ode import EigenTriple, FlowParams
 from .errors import DomainError, OutOfRange
 
 __all__ = [
@@ -51,8 +52,8 @@ REACHED_END = "reached_end"
 BLOWUP = "blowup"
 STEP_LIMIT = "step_limit"
 
-# Dormand-Prince 5(4) tableau
-_C2, _C3, _C4, _C5 = 1 / 5, 3 / 10, 4 / 5, 8 / 9
+# Dormand-Prince 5(4) tableau; the field is autonomous, so the stage
+# times (the c nodes) never enter
 _A21 = 1 / 5
 _A31, _A32 = 3 / 40, 9 / 40
 _A41, _A42, _A43 = 44 / 45, -56 / 15, 32 / 9
@@ -84,6 +85,9 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
+# rows of _P for the stages with nonzero weights, each shaped (1, 4) to
+# broadcast against the (steps, 3, 1) derivatives of one stage
+_P_USED = np.array([_P[i] for i in (0, 2, 3, 4, 5, 6)])[:, None, :]
 
 _SAFETY = 0.9
 _ALPHA = 0.7 / 5.0  # PI proportional exponent
@@ -159,14 +163,6 @@ class Trajectory:
     def t_last(self) -> float:
         return float(self.times[-1])
 
-    @property
-    def states(self) -> tuple[EigenTriple, ...]:
-        """Accepted states as triples; microscopic floating disorder from
-        the stepper is sorted away (flagged on the triple)."""
-        return tuple(
-            EigenTriple.sorted_from(*row) for row in self.states_array
-        )
-
     def eval_many(self, ts) -> np.ndarray:
         """Dense evaluation at an array of times, (len(ts), 3).
 
@@ -205,15 +201,6 @@ class Trajectory:
         return EigenTriple.sorted_from(*row)
 
 
-def _error_norm(e, y0, y1, atol, rtol) -> float:
-    s = 0.0
-    for i in range(3):
-        w = atol + rtol * max(abs(y0[i]), abs(y1[i]))
-        r = e[i] / w
-        s += r * r
-    return math.sqrt(s / 3.0)
-
-
 def _initial_step(y, d0) -> float:
     """Cheap starting-step heuristic: a hundredth of the state's own
     time scale |y|/|y'|; the controller corrects it within a few steps."""
@@ -224,191 +211,39 @@ def _initial_step(y, d0) -> float:
     return min(1.0, 0.01 * ny / nd)
 
 
-def _integrate_field(
-    f: Callable[[float, float, float, float], tuple[float, float, float]],
-    y0: tuple[float, float, float],
-    t0: float,
-    t_end: float,
-    config: IntegratorConfig,
-    params: FlowParams,
-    events: Sequence[tuple[str, Callable[[float, float, float, float], float]]] = (),
-) -> Trajectory:
-    if not t_end > t0:
-        raise ValueError(f"t_end must exceed t0, got [{t0}, {t_end}]")
-    atol, rtol = config.abs_tol, config.rel_tol
-    yl, ym, yn = float(y0[0]), float(y0[1]), float(y0[2])
-    t = float(t0)
+def _dense_weights(stages: np.ndarray) -> np.ndarray:
+    """Quartic interpolant weights (steps, 3, 4) from the stage
+    derivatives (steps, 6, 3) of k1, k3, k4, k5, k6, k7 (k2 has weight 0).
 
-    times = [t]
-    states = [(yl, ym, yn)]
-    dense: list = []
-    recs: list[EventRecord] = []
-    ev_names = [name for name, _ in events]
-    ev_funcs = [g for _, g in events]
-    ev_last = [g(t, yl, ym, yn) for g in ev_funcs]
+    The products are summed in stage order, so the weights of one step
+    come out the same whether it is formed alone or in a batch of steps.
+    """
+    q = stages[:, 0, :, None] * _P_USED[0]
+    for i in range(1, 6):
+        q += stages[:, i, :, None] * _P_USED[i]
+    return q
 
-    k1l, k1m, k1n = f(t, yl, ym, yn)
-    h = min(_initial_step((yl, ym, yn), (k1l, k1m, k1n)),
-            t_end - t, config.max_step)
-    err_prev = 1e-4
-    terminal = None
-    naccept = nreject = 0
 
-    for _ in range(config.max_steps):
-        if t >= t_end:
-            terminal = TerminalStatus(REACHED_END)
-            break
-        h = min(h, t_end - t, config.max_step)
-        if h < 1e-14 * max(abs(t), 1.0):
-            # step collapse: the norm threshold decides whether this is a
-            # blow-up approach or a plain stall; both flags are recorded
-            big = max(abs(yl), abs(ym), abs(yn)) > 0.01 * config.blowup_norm
-            terminal = TerminalStatus(
-                BLOWUP if big else STEP_LIMIT,
-                t_est=t if big else None,
-                norm_exceeded=False,
-                step_collapse=True,
+def _locate_event(g, g0, t, h, y0, q) -> float:
+    """Bisect the sign change of ``g`` across the step [t, t+h] on its
+    interpolant ``q`` (3 rows of 4 weights) to 1e-10 in t."""
+    lo_t, hi_t = t, t + h
+    glo = g0
+    while hi_t - lo_t > 1e-10:
+        mid = 0.5 * (lo_t + hi_t)
+        sig = (mid - t) / h
+        vals = [
+            y0[c] + h * sig * (
+                q[c][0] + sig * (q[c][1] + sig * (q[c][2] + sig * q[c][3]))
             )
-            break
-
-        al = yl + h * _A21 * k1l
-        am = ym + h * _A21 * k1m
-        an = yn + h * _A21 * k1n
-        k2l, k2m, k2n = f(t + _C2 * h, al, am, an)
-
-        al = yl + h * (_A31 * k1l + _A32 * k2l)
-        am = ym + h * (_A31 * k1m + _A32 * k2m)
-        an = yn + h * (_A31 * k1n + _A32 * k2n)
-        k3l, k3m, k3n = f(t + _C3 * h, al, am, an)
-
-        al = yl + h * (_A41 * k1l + _A42 * k2l + _A43 * k3l)
-        am = ym + h * (_A41 * k1m + _A42 * k2m + _A43 * k3m)
-        an = yn + h * (_A41 * k1n + _A42 * k2n + _A43 * k3n)
-        k4l, k4m, k4n = f(t + _C4 * h, al, am, an)
-
-        al = yl + h * (_A51 * k1l + _A52 * k2l + _A53 * k3l + _A54 * k4l)
-        am = ym + h * (_A51 * k1m + _A52 * k2m + _A53 * k3m + _A54 * k4m)
-        an = yn + h * (_A51 * k1n + _A52 * k2n + _A53 * k3n + _A54 * k4n)
-        k5l, k5m, k5n = f(t + _C5 * h, al, am, an)
-
-        al = yl + h * (_A61 * k1l + _A62 * k2l + _A63 * k3l + _A64 * k4l + _A65 * k5l)
-        am = ym + h * (_A61 * k1m + _A62 * k2m + _A63 * k3m + _A64 * k4m + _A65 * k5m)
-        an = yn + h * (_A61 * k1n + _A62 * k2n + _A63 * k3n + _A64 * k4n + _A65 * k5n)
-        k6l, k6m, k6n = f(t + h, al, am, an)
-
-        y1l = yl + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l + _B5 * k5l + _B6 * k6l)
-        y1m = ym + h * (_B1 * k1m + _B3 * k3m + _B4 * k4m + _B5 * k5m + _B6 * k6m)
-        y1n = yn + h * (_B1 * k1n + _B3 * k3n + _B4 * k4n + _B5 * k5n + _B6 * k6n)
-        k7l, k7m, k7n = f(t + h, y1l, y1m, y1n)
-
-        el = h * (_E1 * k1l + _E3 * k3l + _E4 * k4l + _E5 * k5l + _E6 * k6l + _E7 * k7l)
-        em = h * (_E1 * k1m + _E3 * k3m + _E4 * k4m + _E5 * k5m + _E6 * k6m + _E7 * k7m)
-        en = h * (_E1 * k1n + _E3 * k3n + _E4 * k4n + _E5 * k5n + _E6 * k6n + _E7 * k7n)
-
-        finite = (
-            math.isfinite(y1l) and math.isfinite(y1m) and math.isfinite(y1n)
-            and math.isfinite(el) and math.isfinite(em) and math.isfinite(en)
-        )
-        err = (
-            _error_norm((el, em, en), (yl, ym, yn), (y1l, y1m, y1n), atol, rtol)
-            if finite
-            else math.inf
-        )
-
-        if err > 1.0:  # reject
-            nreject += 1
-            factor = max(_FAC_MIN, _SAFETY * err ** -0.2) if finite else 0.25
-            h *= min(1.0, factor)
-            continue
-
-        # accept: store the dense interpolant weights for this step
-        ks = (
-            (k1l, k1m, k1n), (k2l, k2m, k2n), (k3l, k3m, k3n),
-            (k4l, k4m, k4n), (k5l, k5m, k5n), (k6l, k6m, k6n),
-            (k7l, k7m, k7n),
-        )
-        q = [[0.0] * 4 for _ in range(3)]
-        for j in range(4):
-            pj = (_P[0][j], _P[1][j], _P[2][j], _P[3][j], _P[4][j], _P[5][j], _P[6][j])
-            for c in range(3):
-                q[c][j] = (
-                    pj[0] * ks[0][c] + pj[2] * ks[2][c] + pj[3] * ks[3][c]
-                    + pj[4] * ks[4][c] + pj[5] * ks[5][c] + pj[6] * ks[6][c]
-                )
-        dense.append(q)
-        t_new = t + h
-        times.append(t_new)
-        states.append((y1l, y1m, y1n))
-        naccept += 1
-
-        # event crossings inside the accepted step
-        if ev_funcs:
-            for i, g in enumerate(ev_funcs):
-                g0, g1 = ev_last[i], g(t_new, y1l, y1m, y1n)
-                if (
-                    math.isfinite(g0) and math.isfinite(g1)
-                    and g0 != 0.0 and (g0 < 0.0) != (g1 < 0.0)
-                ):
-                    lo_t, hi_t = t, t_new
-                    glo = g0
-                    qs = q
-                    while hi_t - lo_t > 1e-10:
-                        mid = 0.5 * (lo_t + hi_t)
-                        sig = (mid - t) / h
-                        vals = [
-                            states[-2][c] + h * sig * (
-                                qs[c][0] + sig * (qs[c][1] + sig * (qs[c][2] + sig * qs[c][3]))
-                            )
-                            for c in range(3)
-                        ]
-                        gm = g(mid, *vals)
-                        if (gm < 0.0) == (glo < 0.0):
-                            lo_t, glo = mid, gm
-                        else:
-                            hi_t = mid
-                    recs.append(EventRecord(
-                        ev_names[i], 0.5 * (lo_t + hi_t),
-                        +1 if g1 > g0 else -1,
-                    ))
-                ev_last[i] = g1
-
-        yl, ym, yn = y1l, y1m, y1n
-        k1l, k1m, k1n = k7l, k7m, k7n  # first-same-as-last
-        t = t_new
-
-        if max(abs(yl), abs(ym), abs(yn)) > config.blowup_norm:
-            terminal = TerminalStatus(BLOWUP, t_est=t, norm_exceeded=True)
-            break
-
-        if err == 0.0:
-            factor = _FAC_MAX
+            for c in range(3)
+        ]
+        gm = g(mid, *vals)
+        if (gm < 0.0) == (glo < 0.0):
+            lo_t, glo = mid, gm
         else:
-            factor = _SAFETY * err ** -_ALPHA * err_prev ** _BETA
-        h *= min(_FAC_MAX, max(_FAC_MIN, factor))
-        err_prev = max(err, 1e-10)
-    else:
-        terminal = TerminalStatus(STEP_LIMIT)
-
-    if terminal is None:  # pragma: no cover
-        terminal = TerminalStatus(STEP_LIMIT)
-
-    times_a = np.asarray(times)
-    states_a = np.asarray(states)
-    dense_a = (
-        np.asarray(dense) if dense else np.zeros((0, 3, 4))
-    )
-    for a in (times_a, states_a, dense_a):
-        a.setflags(write=False)
-    return Trajectory(
-        times=times_a,
-        states_array=states_a,
-        dense=dense_a,
-        terminal=terminal,
-        params=params,
-        config=config,
-        events=tuple(recs),
-        stats={"accepted": naccept, "rejected": nreject},
-    )
+            hi_t = mid
+    return 0.5 * (lo_t + hi_t)
 
 
 def integrate(
@@ -427,13 +262,184 @@ def integrate(
     applied to the evolving state.
     """
     cfg = config or IntegratorConfig()
-    rho = params.rho
+    events = tuple(events)
+    if not t_end > t0:
+        raise ValueError(f"t_end must exceed t0, got [{t0}, {t_end}]")
+    atol, rtol = cfg.abs_tol, cfg.rel_tol
+    max_step, blowup_norm = cfg.max_step, cfg.blowup_norm
+    isfinite = math.isfinite
+    # The reaction field of eigen_ode._rhs_f is written out at each stage,
+    # with the same operand order, so the trajectory matches that kernel
+    # bit for bit.
+    rho4 = 4.0 * params.rho
+    yl, ym, yn = map(float, state.as_tuple())
+    t = float(t0)
 
-    def field_(t: float, l: float, m: float, n: float):
-        return _rhs_f(l, m, n, rho)
+    times = [t]
+    states = [yl, ym, yn]
+    stages: list[float] = []  # k1, k3..k7 of every accepted step
+    recs: list[EventRecord] = []
+    ev_last = [g(t, yl, ym, yn) for _, g in events]
 
-    return _integrate_field(
-        field_, state.as_tuple(), t0, t_end, cfg, params, events
+    t4 = rho4 * (yl + ym + yn)
+    k1l = 2.0 * yl * yl + 2.0 * ym * yn - t4 * yl
+    k1m = 2.0 * ym * ym + 2.0 * yl * yn - t4 * ym
+    k1n = 2.0 * yn * yn + 2.0 * yl * ym - t4 * yn
+    h = min(_initial_step((yl, ym, yn), (k1l, k1m, k1n)), t_end - t, max_step)
+    err_prev = 1e-4
+    terminal = None
+    naccept = nreject = 0
+
+    for _ in range(cfg.max_steps):
+        if t >= t_end:
+            terminal = TerminalStatus(REACHED_END)
+            break
+        h = min(h, t_end - t, max_step)
+        if h < 1e-14 * max(abs(t), 1.0):
+            # step collapse: the norm threshold decides whether this is a
+            # blow-up approach or a plain stall; both flags are recorded
+            big = max(abs(yl), abs(ym), abs(yn)) > 0.01 * blowup_norm
+            terminal = TerminalStatus(
+                BLOWUP if big else STEP_LIMIT,
+                t_est=t if big else None,
+                norm_exceeded=False,
+                step_collapse=True,
+            )
+            break
+
+        ha = h * _A21
+        al = yl + ha * k1l
+        am = ym + ha * k1m
+        an = yn + ha * k1n
+        t4 = rho4 * (al + am + an)
+        k2l = 2.0 * al * al + 2.0 * am * an - t4 * al
+        k2m = 2.0 * am * am + 2.0 * al * an - t4 * am
+        k2n = 2.0 * an * an + 2.0 * al * am - t4 * an
+
+        al = yl + h * (_A31 * k1l + _A32 * k2l)
+        am = ym + h * (_A31 * k1m + _A32 * k2m)
+        an = yn + h * (_A31 * k1n + _A32 * k2n)
+        t4 = rho4 * (al + am + an)
+        k3l = 2.0 * al * al + 2.0 * am * an - t4 * al
+        k3m = 2.0 * am * am + 2.0 * al * an - t4 * am
+        k3n = 2.0 * an * an + 2.0 * al * am - t4 * an
+
+        al = yl + h * (_A41 * k1l + _A42 * k2l + _A43 * k3l)
+        am = ym + h * (_A41 * k1m + _A42 * k2m + _A43 * k3m)
+        an = yn + h * (_A41 * k1n + _A42 * k2n + _A43 * k3n)
+        t4 = rho4 * (al + am + an)
+        k4l = 2.0 * al * al + 2.0 * am * an - t4 * al
+        k4m = 2.0 * am * am + 2.0 * al * an - t4 * am
+        k4n = 2.0 * an * an + 2.0 * al * am - t4 * an
+
+        al = yl + h * (_A51 * k1l + _A52 * k2l + _A53 * k3l + _A54 * k4l)
+        am = ym + h * (_A51 * k1m + _A52 * k2m + _A53 * k3m + _A54 * k4m)
+        an = yn + h * (_A51 * k1n + _A52 * k2n + _A53 * k3n + _A54 * k4n)
+        t4 = rho4 * (al + am + an)
+        k5l = 2.0 * al * al + 2.0 * am * an - t4 * al
+        k5m = 2.0 * am * am + 2.0 * al * an - t4 * am
+        k5n = 2.0 * an * an + 2.0 * al * am - t4 * an
+
+        al = yl + h * (_A61 * k1l + _A62 * k2l + _A63 * k3l + _A64 * k4l + _A65 * k5l)
+        am = ym + h * (_A61 * k1m + _A62 * k2m + _A63 * k3m + _A64 * k4m + _A65 * k5m)
+        an = yn + h * (_A61 * k1n + _A62 * k2n + _A63 * k3n + _A64 * k4n + _A65 * k5n)
+        t4 = rho4 * (al + am + an)
+        k6l = 2.0 * al * al + 2.0 * am * an - t4 * al
+        k6m = 2.0 * am * am + 2.0 * al * an - t4 * am
+        k6n = 2.0 * an * an + 2.0 * al * am - t4 * an
+
+        y1l = yl + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l + _B5 * k5l + _B6 * k6l)
+        y1m = ym + h * (_B1 * k1m + _B3 * k3m + _B4 * k4m + _B5 * k5m + _B6 * k6m)
+        y1n = yn + h * (_B1 * k1n + _B3 * k3n + _B4 * k4n + _B5 * k5n + _B6 * k6n)
+        t4 = rho4 * (y1l + y1m + y1n)
+        k7l = 2.0 * y1l * y1l + 2.0 * y1m * y1n - t4 * y1l
+        k7m = 2.0 * y1m * y1m + 2.0 * y1l * y1n - t4 * y1m
+        k7n = 2.0 * y1n * y1n + 2.0 * y1l * y1m - t4 * y1n
+
+        el = h * (_E1 * k1l + _E3 * k3l + _E4 * k4l + _E5 * k5l + _E6 * k6l + _E7 * k7l)
+        em = h * (_E1 * k1m + _E3 * k3m + _E4 * k4m + _E5 * k5m + _E6 * k6m + _E7 * k7m)
+        en = h * (_E1 * k1n + _E3 * k3n + _E4 * k4n + _E5 * k5n + _E6 * k6n + _E7 * k7n)
+
+        if not (
+            isfinite(y1l) and isfinite(y1m) and isfinite(y1n)
+            and isfinite(el) and isfinite(em) and isfinite(en)
+        ):
+            nreject += 1
+            h *= 0.25
+            continue
+        # RMS of the error scaled by atol + rtol * max(|y0|, |y1|) per component
+        rl = el / (atol + rtol * max(abs(yl), abs(y1l)))
+        rm = em / (atol + rtol * max(abs(ym), abs(y1m)))
+        rn = en / (atol + rtol * max(abs(yn), abs(y1n)))
+        err = math.sqrt((rl * rl + rm * rm + rn * rn) / 3.0)
+        if err > 1.0:  # reject
+            nreject += 1
+            h *= min(1.0, max(_FAC_MIN, _SAFETY * err ** -0.2))
+            continue
+
+        stages.extend((
+            k1l, k1m, k1n, k3l, k3m, k3n, k4l, k4m, k4n,
+            k5l, k5m, k5n, k6l, k6m, k6n, k7l, k7m, k7n,
+        ))
+        t_new = t + h
+        times.append(t_new)
+        states.extend((y1l, y1m, y1n))
+        naccept += 1
+
+        # event crossings inside the accepted step
+        if events:
+            q = None
+            for i, (name, g) in enumerate(events):
+                g0, g1 = ev_last[i], g(t_new, y1l, y1m, y1n)
+                if (
+                    isfinite(g0) and isfinite(g1)
+                    and g0 != 0.0 and (g0 < 0.0) != (g1 < 0.0)
+                ):
+                    if q is None:
+                        q = _dense_weights(np.array(stages[-18:]).reshape(1, 6, 3))[0].tolist()
+                    recs.append(EventRecord(
+                        name, _locate_event(g, g0, t, h, (yl, ym, yn), q),
+                        +1 if g1 > g0 else -1,
+                    ))
+                ev_last[i] = g1
+
+        yl, ym, yn = y1l, y1m, y1n
+        k1l, k1m, k1n = k7l, k7m, k7n  # first-same-as-last
+        t = t_new
+
+        if max(abs(yl), abs(ym), abs(yn)) > blowup_norm:
+            terminal = TerminalStatus(BLOWUP, t_est=t, norm_exceeded=True)
+            break
+
+        if err == 0.0:
+            factor = _FAC_MAX
+        else:
+            factor = _SAFETY * err ** -_ALPHA * err_prev ** _BETA
+        h *= min(_FAC_MAX, max(_FAC_MIN, factor))
+        err_prev = max(err, 1e-10)
+    else:
+        terminal = TerminalStatus(STEP_LIMIT)
+
+    times_a = np.array(times)
+    states_a = np.array(states).reshape(-1, 3)
+    stages_a = np.array(stages).reshape(-1, 6, 3)
+    stages.clear()  # release the float objects before the weights are formed
+    dense_a = _dense_weights(stages_a)
+    for a in (times_a, states_a, dense_a):
+        a.setflags(write=False)
+    return Trajectory(
+        times=times_a,
+        states_array=states_a,
+        dense=dense_a,
+        terminal=terminal,
+        params=params,
+        config=cfg,
+        events=tuple(recs),
+        stats={
+            "accepted": naccept,
+            "rejected": nreject,
+            "rhs_evals": 1 + 6 * (naccept + nreject),
+        },
     )
 
 

@@ -127,8 +127,13 @@ def f_inverse(y, params: FlowParams):
             f"(rho={params.rho})"
         )
     rho = params.rho
-    lo = np.full_like(ya, f_domain_min(params))
-    hi = lo * 2.0
+    shape, ya = ya.shape, ya.ravel()
+    n = ya.size
+    # Pair i of ``bracket`` holds (lo_i, hi_i); one more pair is spare.
+    bracket = np.empty(2 * n + 2)
+    lo, hi = bracket[0:2 * n:2], bracket[1:2 * n:2]
+    lo[:] = f_domain_min(params)
+    hi[:] = lo * 2.0
     # expand the bracket until f(hi) >= y everywhere
     for _ in range(1100):
         short = _f_kernel(hi, rho) < ya
@@ -137,13 +142,24 @@ def f_inverse(y, params: FlowParams):
         hi[short] *= 2.0
     else:  # pragma: no cover - would need y beyond float range
         raise DomainError("f_inverse bracket expansion failed")
+    # Each bisection step stores mid into one side of every pair with a
+    # single indexed write.  An element whose own bracket has converged
+    # is pointed at the spare pair, so it stops moving and its result
+    # does not depend on the batch it came in.
+    pair = np.arange(0, 2 * n, 2)
+    mid = np.empty(n)
+    n_open = n
     for _ in range(220):
-        mid = 0.5 * (lo + hi)
-        high_side = _f_kernel(mid, rho) >= ya
-        hi = np.where(high_side, mid, hi)
-        lo = np.where(high_side, lo, mid)
-        if np.all(hi - lo <= 1e-14 * hi):
-            break
+        np.add(lo, hi, out=mid)
+        mid *= 0.5
+        bracket[pair + (_f_kernel(mid, rho) >= ya)] = mid
+        still_open = hi - lo > 1e-14 * hi
+        now_open = np.count_nonzero(still_open)
+        if now_open < n_open:
+            if now_open == 0:
+                break
+            pair[~still_open] = 2 * n
+            n_open = now_open
     x = 0.5 * (lo + hi)
     # Newton polish where the slope is healthy
     c = 2.0 * (1.0 - 2.0 * rho)
@@ -152,7 +168,7 @@ def f_inverse(y, params: FlowParams):
         safe = slope > 1e-30
         step = np.where(safe, (_f_kernel(x, rho) - ya) / np.where(safe, slope, 1.0), 0.0)
         x = np.clip(x - step, lo, hi)
-    return float(x[0]) if scalar_in else x
+    return float(x[0]) if scalar_in else x.reshape(shape)
 
 
 # ----------------------------------------------------------------------

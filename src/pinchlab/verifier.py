@@ -24,10 +24,12 @@ only the scale-free transverse defect is informative.  Scan margins
 stay raw on the normalized slice; for unnormalized trace-bound inputs
 the violation cutoff is scaled by max(1, sup-norm)^3.
 
-Multi-sample checks shard across a thread pool sized by the
-PINCHLAB_THREADS environment variable (unset or 0 = automatic); merged
-results are order-independent, so the report never depends on thread
-scheduling.
+Multi-sample checks run serially unless the PINCHLAB_THREADS environment
+variable asks for a thread pool of more than one worker.  The stepper is
+pure Python and holds the interpreter lock, so a pool does not run
+trajectories in parallel and measured slower than one worker on every
+criterion-06 set.  Merged results are order-independent, so the report
+never depends on the worker count or on thread scheduling.
 """
 
 from __future__ import annotations
@@ -81,7 +83,8 @@ DEFAULT_SCAN_TOL = 1e-12
 
 
 def thread_count() -> int:
-    """Worker count for sharded checks, honoring PINCHLAB_THREADS."""
+    """Worker count for sharded checks: PINCHLAB_THREADS, or 1 when it
+    is unset or 0."""
     raw = os.environ.get("PINCHLAB_THREADS", "0")
     try:
         n = int(raw)
@@ -89,9 +92,7 @@ def thread_count() -> int:
         raise ValueError(f"PINCHLAB_THREADS must be an integer, got {raw!r}")
     if n < 0:
         raise ValueError(f"PINCHLAB_THREADS must be >= 0, got {n}")
-    if n == 0:
-        return min(32, os.cpu_count() or 1)
-    return n
+    return max(n, 1)
 
 
 class InequalityKind(enum.Enum):

@@ -172,6 +172,16 @@ def test_margin_array_matches_membership_loop():
             assert r.member == (arr[i] >= 0.0)
 
 
+def test_x_margin_array_equals_membership_exactly():
+    # the X margin goes through f_inverse, whose result for one state must
+    # not depend on the batch the state is evaluated in
+    rng = np.random.default_rng(12)
+    pts = np.sort(rng.uniform(-3000, 3000, size=(300, 3)), axis=1)[:, ::-1]
+    arr = margin_array(SPEC_X, pts[:, 0], pts[:, 1], pts[:, 2])
+    singles = [membership(SPEC_X, EigenTriple(*row)).margin for row in pts]
+    assert singles == arr.tolist()
+
+
 def test_constraint_labels():
     labels = [name for name, _ in constraint_margins(SPEC_Y, np.array([1.0]), np.array([0.5]), np.array([-0.5]), 0.0)]
     assert labels == ["trace_floor", "nu_log", "ricci_sign"]

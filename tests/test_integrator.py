@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from pinchlab import (
     isotropic_solution,
     standard_trigger_events,
 )
-from pinchlab.integrator import _integrate_field
+from pinchlab.integrator import TerminalStatus
 
 P0 = FlowParams(rho=0.0)
 P1 = FlowParams(rho=-1.0)
@@ -118,28 +119,17 @@ def test_trace_dominates_isotropic_comparison():
 
 
 def test_reverse_field_returns_to_start():
-    # integrate forward, then integrate the negated field for the same
-    # duration; an accurate one-step map must come back to the start
+    # integrate forward, then run the reversed flow y' = -F(y) for the same
+    # duration; an accurate one-step map must come back to the start.  F is
+    # homogeneous quadratic and permutation-equivariant, so the reversed
+    # flow from y_end is minus the forward flow from (-nu, -mu, -lam),
+    # read back in reverse order.
     y0 = (1.0, 0.2, -0.4)
-
-    def f(t, l, m, n):
-        return (
-            2 * l * l + 2 * m * n,
-            2 * m * m + 2 * l * n,
-            2 * n * n + 2 * l * m,
-        )
-
-    cfg = IntegratorConfig()
-    fwd = _integrate_field(f, y0, 0.0, 0.05, cfg, P0, ())
-
-    def back_f(t, l, m, n):
-        a, b, c = f(t, l, m, n)
-        return (-a, -b, -c)
-
-    back = _integrate_field(
-        back_f, tuple(fwd.states_array[-1]), 0.0, 0.05, cfg, P0, ()
-    )
-    assert np.max(np.abs(back.states_array[-1] - np.array(y0))) < 1e-8
+    fwd = integrate(EigenTriple(*y0), P0, 0.0, 0.05)
+    lam, mu, nu = fwd.states_array[-1]
+    back = integrate(EigenTriple(-nu, -mu, -lam), P0, 0.0, 0.05)
+    returned = -back.states_array[-1][::-1]
+    assert np.max(np.abs(returned - np.array(y0))) < 1e-8
 
 
 def test_nu_trigger_event_location():
@@ -200,3 +190,80 @@ def test_stats_count_work():
     traj = integrate(EigenTriple(1.0, 1.0, 1.0), P0, 0.0, 0.2)
     assert traj.stats["accepted"] >= 1
     assert traj.stats["rejected"] >= 0
+    # one evaluation at the start, then six per attempted step (FSAL)
+    attempted = traj.stats["accepted"] + traj.stats["rejected"]
+    assert traj.stats["rhs_evals"] == 1 + 6 * attempted
+    loose = integrate(
+        EigenTriple(1e6, 1e6, -1e6), P0, 0.0, 1.0,
+        IntegratorConfig(rel_tol=1e3, abs_tol=1e3, blowup_norm=1e307),
+    )
+    assert loose.stats == {"accepted": 10, "rejected": 13, "rhs_evals": 139}
+
+
+# Trajectories pinned bit for bit: step counts, terminal record, last time,
+# events (name, repr(time), direction) and a SHA-256 over the bytes of
+# times, states_array and dense.  Any change to the stepper's arithmetic
+# or its operand order shows up here.
+PINNED = {
+    "isotropic_blowup": (
+        EigenTriple(1.0, 1.0, 1.0), P0, 1.0, None, False,
+        (1407, 0),
+        TerminalStatus(BLOWUP, t_est=0.24999999999796543, step_collapse=True),
+        "0.24999999999796543", [],
+        "18172aa4071cfd670a673bf444315d3b71c645c52337c5b2c18ec7068035095e",
+    ),
+    "x_band_blowup": (
+        EigenTriple(58.59500633031746, -27.657793887989612, -55.67273816939442),
+        P1, 0.05, None, False,
+        (1190, 0),
+        TerminalStatus(BLOWUP, t_est=0.006365243567903862, step_collapse=True),
+        "0.006365243567903862", [],
+        "002022accd0df5c15a8cbe8501769bd6c7dfcdfabb4d4e1a28f3a65bbec8a571",
+    ),
+    "k_band_reached_end": (
+        EigenTriple(8.177971709512148, -2.003518714101056, -9.174452965729804),
+        FlowParams(rho=0.1, eta=-4.0, theta=1.0), 0.05, None, False,
+        (139, 0),
+        TerminalStatus(REACHED_END),
+        "0.05", [],
+        "0edd99d8f4c0c3c2a564fe21c3c35ddd77574605b582e5e975a6fd4cb6aabb7b",
+    ),
+    "trigger_events": (
+        EigenTriple(2.522234183692774, 2.4686038564983797, -3.1971245915690485),
+        FlowParams(rho=-0.5), 1.0, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8), True,
+        (187, 112),
+        TerminalStatus(BLOWUP, t_est=0.11177158625934765, norm_exceeded=True),
+        "0.11177158625934765",
+        [("ricci_zero", "0.026840312943923333", 1),
+         ("nu_trigger", "0.09669488374894736", 1),
+         ("nu_zero", "0.09954505893005647", 1)],
+        "c8118780c0667562bfba6a9c12a152f80671d0b4e1c4df329628f49e4fe44ddf",
+    ),
+    "one_step": (
+        EigenTriple(1.0, 1.0, 1.0), P0, 0.2, IntegratorConfig(max_steps=1), False,
+        (1, 0),
+        TerminalStatus(STEP_LIMIT),
+        "0.0025", [],
+        "9fa30b6a763b02b46eae62f9d296ae362627d0659e4842b07ca2b913116ea99a",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PINNED))
+def test_trajectory_is_bit_identical_to_pinned(name):
+    start, params, t_end, cfg, with_events, steps, terminal, t_last, events, digest = (
+        PINNED[name]
+    )
+    evs = standard_trigger_events(params) if with_events else ()
+    traj = integrate(start, params, 0.0, t_end, cfg, evs)
+    accepted, rejected = steps
+    assert traj.stats == {
+        "accepted": accepted,
+        "rejected": rejected,
+        "rhs_evals": 1 + 6 * (accepted + rejected),
+    }
+    assert traj.terminal == terminal
+    assert repr(traj.t_last) == t_last
+    assert [(e.name, repr(e.time), e.direction) for e in traj.events] == events
+    blob = traj.times.tobytes() + traj.states_array.tobytes() + traj.dense.tobytes()
+    assert hashlib.sha256(blob).hexdigest() == digest

@@ -99,6 +99,13 @@ def test_f_inverse_vectorised_matches_scalar():
     vec = f_inverse(ys, P_NEG)
     for yi, xi in zip(ys, vec):
         assert float(f_inverse(float(yi), P_NEG)) == xi
+    # bit for bit on batches whose elements converge at different steps
+    rng = np.random.default_rng(4)
+    for rho in (-10.0, -1.0, 0.0, 0.2):
+        p = FlowParams(rho=rho)
+        ys = f_range_min(p) + np.abs(f_range_min(p)) * rng.exponential(50.0, 200)
+        vec = f_inverse(ys, p)
+        assert [f_inverse(float(yi), p) for yi in ys] == vec.tolist()
 
 
 # ------------------------------------------------- Lambda and its derivative

@@ -171,7 +171,9 @@ def test_thread_count_env(monkeypatch):
     monkeypatch.setenv("PINCHLAB_THREADS", "3")
     assert thread_count() == 3
     monkeypatch.setenv("PINCHLAB_THREADS", "0")
-    assert thread_count() >= 1
+    assert thread_count() == 1
+    monkeypatch.delenv("PINCHLAB_THREADS")
+    assert thread_count() == 1
     monkeypatch.setenv("PINCHLAB_THREADS", "x")
     with pytest.raises(ValueError):
         thread_count()
