@@ -23,6 +23,7 @@ from __future__ import annotations
 import argparse
 import csv
 import datetime
+import functools
 import json
 import math
 import sys
@@ -614,7 +615,14 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--max-steps", type=int, dest="max_steps")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on the first ``main`` call.
+
+    Parsing keeps no state in the parser (``--scan-time`` appends to a
+    fresh list per call), so reusing it gives every call the same
+    result as a fresh process.
+    """
     parser = argparse.ArgumentParser(
         prog="pinchlab",
         description=(

@@ -167,24 +167,30 @@ class Trajectory:
         """Dense evaluation at an array of times, (len(ts), 3).
 
         Stored nodes are returned bit-exact; interior times evaluate the
-        quartic interpolant of the covering step.
+        quartic interpolant of the covering step.  Every row depends on
+        its own time only, so a batch gives the same rows, bit for bit,
+        as one call per time.  Times outside the covered interval,
+        including NaN and infinities, raise OutOfRange.
         """
         ts = np.asarray(ts, dtype=float)
         flat = np.atleast_1d(ts)
-        if flat.size and (flat.min() < self.times[0] or flat.max() > self.times[-1]):
+        # written so that NaN, for which every comparison is False, fails
+        if flat.size and not (
+            flat.min() >= self.times[0] and flat.max() <= self.times[-1]
+        ):
             raise OutOfRange(
-                f"evaluation times must lie in [{self.times[0]}, "
-                f"{self.times[-1]}]"
+                f"evaluation times must be finite and lie in "
+                f"[{self.times[0]}, {self.times[-1]}]"
             )
-        idx = np.searchsorted(self.times, flat)
-        idx = np.clip(idx, 0, len(self.times) - 1)
+        # in range, both searches are already bounded below
+        n = len(self.times)
+        idx = np.minimum(np.searchsorted(self.times, flat), n - 1)
         exact = self.times[idx] == flat
         if self.dense.shape[0] == 0:
             # degenerate single-node trajectory: only t0 is in range
             out = np.repeat(self.states_array[:1], flat.size, axis=0)
             return out if ts.ndim else out[0]
-        step = np.clip(np.searchsorted(self.times, flat, side="right") - 1, 0,
-                       len(self.times) - 2)
+        step = np.minimum(np.searchsorted(self.times, flat, side="right") - 1, n - 2)
         t0 = self.times[step]
         h = self.times[step + 1] - t0
         sig = (flat - t0) / h

@@ -1,12 +1,17 @@
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pinchlab
 from pinchlab import isotropic_solution, FlowParams
-from pinchlab.cli import CSV_HEADER, main, write_report
+from pinchlab.cli import CSV_HEADER, _build_parser, main, write_report
 
 
 def run(args):
@@ -168,6 +173,18 @@ def test_deriv_check_cli_and_failure_exit(tmp_path):
     assert bad == 1
 
 
+def test_deriv_check_reports_worst_trajectory_and_checkpoints(tmp_path):
+    args = ["deriv-check", "--quantity", "xi-pinch", "--rho", "0.1", "--trajectories", "3"]
+    assert run(args + ["--out", tmp_path / "d.json"]) == 0
+    report = json.loads((tmp_path / "d.json").read_text())["report"]
+    assert report["checkpoints"] == 3 * 33 * 2
+    assert report["worst_trajectory"] in (0, 1, 2)
+    assert run(args + ["--out", tmp_path / "d.txt"]) == 0
+    text = (tmp_path / "d.txt").read_text().splitlines()
+    assert "report.checkpoints = 198" in text
+    assert f"report.worst_trajectory = {report['worst_trajectory']}" in text
+
+
 # ------------------------------------------------------------ config files
 
 
@@ -235,3 +252,58 @@ def test_plot_svg(tmp_path):
 def test_version_flag(capsys):
     assert main(["--version"]) == 0
     assert "0.1.0" in capsys.readouterr().out
+
+
+# ------------------------------------------------- one parser per process
+
+
+def fresh_process(args, cwd):
+    """``python -m pinchlab`` in a new interpreter, help width fixed."""
+    env = dict(os.environ, COLUMNS="80")
+    src = str(Path(pinchlab.__file__).parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pinchlab", *map(str, args)],
+        cwd=cwd, env=env, capture_output=True, text=True, timeout=120,
+    )
+
+
+def test_python_m_pinchlab_version(tmp_path):
+    proc = fresh_process(["--version"], tmp_path)
+    assert proc.returncode == 0
+    assert proc.stdout.strip() == pinchlab.__version__
+
+
+def test_reused_parser_matches_fresh_process(tmp_path, capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")
+    assert _build_parser() is _build_parser()
+    calls = [
+        (["simulate", "--points", "many"], 2),
+        (["--help"], 0),
+        (["simulate", "--state", "1,0.5,-0.5", "--rho", "-1", "--t-end", "0.01",
+          "--out", "sim.csv"], 0),
+    ]
+    for i, (args, code) in enumerate(calls):
+        here, there = tmp_path / f"here{i}", tmp_path / f"there{i}"
+        here.mkdir()
+        there.mkdir()
+        monkeypatch.chdir(here)
+        capsys.readouterr()
+        assert run(args) == code
+        out, err = capsys.readouterr()
+        proc = fresh_process(args, there)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (code, out, err)
+        assert sorted(p.name for p in here.iterdir()) == sorted(p.name for p in there.iterdir())
+        for p in here.iterdir():
+            assert p.read_bytes() == (there / p.name).read_bytes()
+    assert (tmp_path / "here2" / "sim.csv").exists()
+
+
+def test_repeated_scan_times_do_not_accumulate(tmp_path):
+    args = ["scan", "--kind=xi-prime", "--rho=-0.5", "--eta=1", "--theta=1",
+            "--scan-time=0", "--scan-time=0.01"]
+    assert run(args + [f"--out={tmp_path / 'a.json'}"]) == 0
+    assert run(args + [f"--out={tmp_path / 'b.json'}"]) == 0
+    first = (tmp_path / "a.json").read_bytes()
+    assert first == (tmp_path / "b.json").read_bytes()
+    assert json.loads(first)["report"]["scan_times"] == [0.0, 0.01]

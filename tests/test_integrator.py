@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from pinchlab import (
     BLOWUP,
@@ -92,6 +94,43 @@ def test_eval_outside_span_raises():
         traj.eval_at(0.11)
     with pytest.raises(OutOfRange):
         traj.eval_many(np.array([-0.01, 0.05]))
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_eval_non_finite_time_raises(bad):
+    traj = integrate(EigenTriple(1.0, 1.0, 1.0), P0, 0.0, 0.1)
+    with pytest.raises(OutOfRange):
+        traj.eval_many(np.array([0.001, bad]))
+    with pytest.raises(OutOfRange):
+        traj.eval_at(bad)
+
+
+# an isotropic blow-up, a short mixed-sign run, and a blow-up with
+# rejected steps and three trigger events
+BATCH_TRAJECTORIES = (
+    integrate(EigenTriple(1.0, 1.0, 1.0), P0, 0.0, 1.0),
+    integrate(EigenTriple(0.5, -0.8, -0.9), P1, 0.0, 0.01),
+    integrate(EigenTriple(2.522234183692774, 2.4686038564983797, -3.1971245915690485),
+              FlowParams(rho=-0.5), 0.0, 1.0, IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8),
+              standard_trigger_events(FlowParams(rho=-0.5))),
+)
+
+
+@given(
+    st.sampled_from(range(len(BATCH_TRAJECTORIES))),
+    st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
+    st.lists(st.integers(min_value=0), max_size=5),
+)
+def test_eval_many_batch_equals_one_point_calls(which, fractions, nodes):
+    traj = BATCH_TRAJECTORIES[which]
+    t0, t1 = traj.t_start, traj.t_last
+    ts = [min(t0 + f * (t1 - t0), t1) for f in fractions]
+    ts += [float(traj.times[k % len(traj.times)]) for k in nodes]
+    batch = traj.eval_many(np.array(ts))
+    for t, row in zip(ts, batch):
+        assert row.tobytes() == traj.eval_many(np.array([t]))[0].tobytes()
+        assert row.tobytes() == traj.eval_many(t).tobytes()
+        assert traj.eval_at(t) == EigenTriple.sorted_from(*row)
 
 
 def test_eigenvalue_order_preserved_along_flow():

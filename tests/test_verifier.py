@@ -25,7 +25,7 @@ from pinchlab import (
     invariance_is_claimed,
     scan_inequality,
 )
-from pinchlab.verifier import thread_count
+from pinchlab.verifier import _deriv_initial_states, thread_count
 
 P_NEG = FlowParams(rho=-1.0)
 
@@ -242,6 +242,42 @@ def test_derivative_consistency_single_trajectory():
     traj = integrate(EigenTriple(0.5, -0.8, -0.9), P_NEG, 0.0, 0.01)
     rep = derivative_consistency(traj, QuantityKind.LAMBDA_PINCH, P_NEG)
     assert rep.max_discrepancy < 1e-5
+
+
+# (max_discrepancy, max_discrepancy_half_h, decay_ratio) at the default
+# 20 trajectories, recorded when each window point was evaluated alone
+DERIV_PINNED = {
+    (QuantityKind.LAMBDA_PINCH, 0): (
+        "4.7545748449451253e-07", "1.2014839945173605e-07", "3.9572519206592105"),
+    (QuantityKind.LAMBDA_PINCH, 7): (
+        "5.437860022272645e-07", "1.3740501381143133e-07", "3.957541192590925"),
+    (QuantityKind.XI_PINCH, 0): (
+        "7.194465823090468e-08", "1.9096234815663138e-08", "3.767478716374714"),
+    (QuantityKind.XI_PINCH, 7): (
+        "4.655835228462024e-08", "1.2876762101043937e-08", "3.615687850662838"),
+}
+
+
+@pytest.mark.parametrize("quantity,seed", list(DERIV_PINNED))
+def test_deriv_suite_is_bit_identical_to_pinned(quantity, seed):
+    p = P_NEG if quantity is QuantityKind.LAMBDA_PINCH else FlowParams(rho=0.1, eta=-4.0, theta=1.0)
+    rep = deriv_suite(quantity, p, seed=seed)
+    got = (rep.max_discrepancy, rep.max_discrepancy_half_h, rep.decay_ratio)
+    assert tuple(repr(float(v)) for v in got) == DERIV_PINNED[quantity, seed]
+
+
+def test_deriv_suite_reports_worst_trajectory_and_work():
+    p = FlowParams(rho=0.1, eta=-4.0, theta=1.0)
+    rep = deriv_suite(QuantityKind.XI_PINCH, p, trajectories=5, seed=3, t_end=0.005)
+    assert rep.checkpoints == 5 * 33 * 2
+    per_traj = [
+        derivative_consistency(
+            integrate(s, p, 0.0, 0.005), QuantityKind.XI_PINCH, p
+        ).max_discrepancy
+        for s in _deriv_initial_states(QuantityKind.XI_PINCH, 5, 3)
+    ]
+    assert rep.worst_trajectory == int(np.argmax(per_traj))
+    assert rep.max_discrepancy == per_traj[rep.worst_trajectory]
 
 
 @pytest.mark.parametrize("quantity", [QuantityKind.LAMBDA_PINCH, QuantityKind.XI_PINCH])
