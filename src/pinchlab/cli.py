@@ -211,10 +211,6 @@ def _meta_block(meta: dict) -> str:
     return "".join(f"# {line}\n" for line in lines)
 
 
-def _g17(v: float) -> str:
-    return f"{v:.17g}"
-
-
 def export_trajectory(
     traj: Trajectory | None,
     params: FlowParams,
@@ -258,11 +254,10 @@ def export_trajectory(
         m_x = margin_array(spec_x, lam, mu, nu, 0.0) if spec_x else nan
         m_w = margin_array(spec_w, lam, mu, nu, ts) if spec_w else nan
         m_k = margin_array(spec_k, lam, mu, nu, ts) if spec_k else nan
-        for i in range(len(ts)):
-            rows.append(",".join(_g17(v) for v in (
-                ts[i], lam[i], mu[i], nu[i], 2.0 * trace[i],
-                mu[i] + nu[i], m_x[i], m_w[i], m_k[i],
-            )))
+        table = np.column_stack(
+            [ts, lam, mu, nu, 2.0 * trace, mu + nu, m_x, m_w, m_k]
+        ).tolist()
+        rows = [",".join(map("{:.17g}".format, row)) for row in table]
     body = _meta_block(full) + CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
     try:
         Path(path).write_text(body)

@@ -7,7 +7,10 @@ out what each region is:
 
 ``X``  (static): trace bounded below by the pinching function's range
        minimum, and smallest Ricci eigenvalue mu+nu bounded below by
-       -f_inverse(trace).  Requires rho < 0.  Time-independent.
+       -f_inverse(trace), the pinching function's inverse in closed
+       form through the Lambert W function.  A state's margin does not
+       depend on the batch it is evaluated in, and an infinite trace
+       gives margin +inf.  Requires rho < 0.  Time-independent.
 ``K``  (shrinking trace floor): trace >= -3/(1+2(1+eta rho)t), and a
        logarithmic lower bound on the trace triggered once nu drops
        below -1/(1+2(1+eta rho)t).  Requires 1+eta*rho > 0, theta > 0.

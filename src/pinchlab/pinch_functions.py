@@ -112,63 +112,63 @@ def f_pinch(x, params: FlowParams):
 def f_inverse(y, params: FlowParams):
     """Unique x >= e^{1-4 rho} with f(x) = y, to ~1e-12 relative accuracy.
 
-    Bracketed bisection with a doubling upper bracket, then a couple of
-    guarded Newton steps to polish.  f is strictly increasing on the
-    interior of its domain with f'(x) = (log x - (1-4 rho))/(2(1-2 rho)),
-    so the root is unique; the derivative vanishes at the left endpoint,
-    which is why bisection carries the job and Newton only polishes.
+    Closed form through the principal Lambert-W branch W0 (Corless et
+    al., "On the Lambert W function", Adv. Comput. Math. 5, 1996).  With
+    c = 2(1-2 rho) and u = log x - c, f(x) = y reads u e^u = z with
+    z = c e^{-c} y, so x = e^{c + W0(z)} = e^{1-4 rho} e^v, v = W0(z) + 1.
+    The branch point z = -1/e is the domain edge: q = (y - y_min)/|y_min|
+    = 1 + e z is formed from y directly, so it keeps its precision there.
+
+    v starts from the branch-point series p - p^2/3 + 11 p^3/72 in
+    p = sqrt(2q) where z < 0 (y < 0), and from Winitzki's uniform log
+    form L (1 - log(1+L)/(2+L)), L = log(1+z), where z >= 0; the latter
+    tends to the log asymptotic log z - log log z for large z.  Each
+    argument is clamped to its own branch, so no branch overflows.  Two
+    Halley steps on (v-1) e^v = q - 1 follow, then two Newton steps on
+    f itself.  A Newton step is taken only where it moves x by less
+    than half its distance to the domain edge: f' vanishes there and a
+    longer step would overshoot the convex f, so x never leaves the
+    domain, and y = y_min returns the domain edge exactly.
+
+    Every element runs the same fixed steps with elementwise arithmetic,
+    so a result does not depend on the batch it was computed in.  NaN
+    raises DomainError; +inf maps to +inf, the limit of f^{-1}.
     """
-    scalar_in = np.isscalar(y) or np.asarray(y).ndim == 0
-    ya = np.atleast_1d(np.asarray(y, dtype=float))
+    ya = np.asarray(y, dtype=float)
     y_min = f_range_min(params)
-    if np.any(ya < y_min):
+    if not np.all(ya >= y_min):
+        if np.isnan(ya).any():
+            raise DomainError(f"f_inverse argument is NaN (rho={params.rho})")
         raise DomainError(
             f"f_inverse argument below range minimum {y_min:.6g} "
             f"(rho={params.rho})"
         )
     rho = params.rho
-    shape, ya = ya.shape, ya.ravel()
-    n = ya.size
-    # Pair i of ``bracket`` holds (lo_i, hi_i); one more pair is spare.
-    bracket = np.empty(2 * n + 2)
-    lo, hi = bracket[0:2 * n:2], bracket[1:2 * n:2]
-    lo[:] = f_domain_min(params)
-    hi[:] = lo * 2.0
-    # expand the bracket until f(hi) >= y everywhere
-    for _ in range(1100):
-        short = _f_kernel(hi, rho) < ya
-        if not short.any():
-            break
-        hi[short] *= 2.0
-    else:  # pragma: no cover - would need y beyond float range
-        raise DomainError("f_inverse bracket expansion failed")
-    # Each bisection step stores mid into one side of every pair with a
-    # single indexed write.  An element whose own bracket has converged
-    # is pointed at the spare pair, so it stops moving and its result
-    # does not depend on the batch it came in.
-    pair = np.arange(0, 2 * n, 2)
-    mid = np.empty(n)
-    n_open = n
-    for _ in range(220):
-        np.add(lo, hi, out=mid)
-        mid *= 0.5
-        bracket[pair + (_f_kernel(mid, rho) >= ya)] = mid
-        still_open = hi - lo > 1e-14 * hi
-        now_open = np.count_nonzero(still_open)
-        if now_open < n_open:
-            if now_open == 0:
-                break
-            pair[~still_open] = 2 * n
-            n_open = now_open
-    x = 0.5 * (lo + hi)
-    # Newton polish where the slope is healthy
+    edge = f_domain_min(params)
+    top = ya == np.inf
+    ya = np.where(top, y_min, ya)
+    q = (ya - y_min) / -y_min
+    qm1 = q - 1.0
+    p = np.sqrt(2.0 * np.minimum(q, 1.0))
+    log1p_z = np.log1p(np.maximum(qm1 / math.e, 0.0))
+    v = np.where(
+        qm1 < 0.0,
+        p * (1.0 + p * (-1.0 / 3.0 + p * (11.0 / 72.0))),
+        log1p_z * (1.0 - np.log1p(log1p_z) / (2.0 + log1p_z)) + 1.0,
+    )
+    # den vanishes only at the branch point v = 0, whose step is zero
+    for _ in range(2):
+        r = (v - 1.0) - qm1 * np.exp(-v)
+        den = 2.0 * v * v - r * (v + 1.0)
+        v -= 2.0 * r * v / np.where(den > 0.0, den, np.inf)
+    x = edge * np.exp(v)
     c = 2.0 * (1.0 - 2.0 * rho)
     for _ in range(2):
         slope = (np.log(x) - (1.0 - 4.0 * rho)) / c
-        safe = slope > 1e-30
-        step = np.where(safe, (_f_kernel(x, rho) - ya) / np.where(safe, slope, 1.0), 0.0)
-        x = np.clip(x - step, lo, hi)
-    return float(x[0]) if scalar_in else x.reshape(shape)
+        step = (_f_kernel(x, rho) - ya) / np.where(slope > 0.0, slope, np.inf)
+        x = np.where(np.abs(step) < 0.5 * (x - edge), x - step, x)
+    x[top] = np.inf
+    return float(x) if x.ndim == 0 else x
 
 
 # ----------------------------------------------------------------------

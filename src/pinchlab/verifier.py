@@ -143,30 +143,33 @@ class ScanReport:
 
 
 def _unit_slice(resolution: int):
-    """All ordered states with sup-norm exactly 1, as a grid.
+    """All ordered states with sup-norm exactly 1, as three grid columns.
 
     Such a state has lam = 1 or nu = -1 (the largest-magnitude entry is
     the top one if positive, the bottom one if negative), so the slice
     is two square faces; the shared edge lam=1, nu=-1 is kept on the
-    first face only.
+    first face only.  Each face keeps the lower triangle (row >= column)
+    of its resolution^2 grid in row-major order: face a is
+    (1, mu, nu) with mu >= nu, face b is (lam, mu, -1) with lam >= mu
+    and without its last row lam = 1.  Returns contiguous ``lam, mu,
+    nu`` arrays gathered from one triangle index.
     """
     xs = np.linspace(-1.0, 1.0, resolution)
-    mu_a, nu_a = np.meshgrid(xs, xs, indexing="ij")
-    keep = mu_a >= nu_a
-    face_a = np.column_stack([
-        np.ones(keep.sum()), mu_a[keep], nu_a[keep]
-    ])
-    lam_b, mu_b = np.meshgrid(xs, xs, indexing="ij")
-    keep_b = (lam_b >= mu_b) & (lam_b < 1.0)
-    face_b = np.column_stack([
-        lam_b[keep_b], mu_b[keep_b], -np.ones(keep_b.sum())
-    ])
-    return np.concatenate([face_a, face_b], axis=0)
+    rows, cols = np.nonzero(np.tri(resolution, dtype=bool))
+    n_a = len(rows)
+    n_b = n_a - resolution
+    lam, mu, nu = np.empty(n_a + n_b), np.empty(n_a + n_b), np.empty(n_a + n_b)
+    lam[:n_a] = 1.0
+    np.take(xs, rows, out=mu[:n_a])
+    np.take(xs, cols, out=nu[:n_a])
+    np.take(xs, rows[:n_b], out=lam[n_a:])
+    np.take(xs, cols[:n_b], out=mu[n_a:])
+    nu[n_a:] = -1.0
+    return lam, mu, nu
 
 
-def _region_masks(kind: InequalityKind, pts: np.ndarray):
+def _region_masks(kind: InequalityKind, lam, mu, nu):
     """(region mask, distance-to-region-boundary) for slice points."""
-    lam, mu, nu = pts[:, 0], pts[:, 1], pts[:, 2]
     trace = lam + mu + nu
     ric = mu + nu
     if kind is InequalityKind.J_NEG_TRACE:
@@ -177,7 +180,7 @@ def _region_masks(kind: InequalityKind, pts: np.ndarray):
         return nu < 0, -nu
     if kind is InequalityKind.XI_PRIME:
         return (ric >= 0) & (nu < 0), np.minimum(ric, -nu)
-    return np.ones(len(pts), dtype=bool), np.full(len(pts), np.inf)
+    return np.ones(len(lam), dtype=bool), np.full(len(lam), np.inf)
 
 
 def _validate_scan_params(kind: InequalityKind, params: FlowParams) -> None:
@@ -202,8 +205,7 @@ def _validate_scan_params(kind: InequalityKind, params: FlowParams) -> None:
             )
 
 
-def _margin_for(kind: InequalityKind, pts, params: FlowParams, t: float):
-    lam, mu, nu = pts[:, 0], pts[:, 1], pts[:, 2]
+def _margin_for(kind: InequalityKind, lam, mu, nu, params: FlowParams, t: float):
     rho = params.rho
     if kind is InequalityKind.J_NEG_TRACE:
         return j_poly_array(lam, mu, nu, rho)
@@ -219,12 +221,12 @@ def _margin_for(kind: InequalityKind, pts, params: FlowParams, t: float):
     return (dl + dm + dn) - (4.0 / 3.0) * (1.0 - 3.0 * rho) * trace * trace
 
 
-def _lexicographic_argmin(margins: np.ndarray, pts: np.ndarray) -> int:
+def _lexicographic_argmin(margins: np.ndarray, lam, mu, nu) -> int:
     lowest = margins.min()
     cands = np.nonzero(margins == lowest)[0]
     if len(cands) == 1:
         return int(cands[0])
-    order = np.lexsort((pts[cands, 2], pts[cands, 1], pts[cands, 0]))
+    order = np.lexsort((nu[cands], mu[cands], lam[cands]))
     return int(cands[order[0]])
 
 
@@ -274,10 +276,11 @@ def scan_inequality(
         if inject_isotropic:
             injected = np.array([(c, c, c) for c in _ISO_INJECT])
             pts = np.concatenate([pts, injected], axis=0)
-        margins = _margin_for(kind, pts, params, 0.0)
+        cols = pts[:, 0], pts[:, 1], pts[:, 2]
+        margins = _margin_for(kind, *cols, params, 0.0)
         cutoff = tol * np.maximum(1.0, np.abs(pts).max(axis=1)) ** 3
         violations = int((margins < -cutoff).sum())
-        amin = _lexicographic_argmin(margins, pts)
+        amin = _lexicographic_argmin(margins, *cols)
         inj_max = (
             float(np.abs(margins[-len(injected):]).max())
             if injected is not None
@@ -299,28 +302,28 @@ def scan_inequality(
             injected_max_abs_margin=inj_max,
         )
 
-    pts = _unit_slice(resolution)
-    mask, slack = _region_masks(kind, pts)
-    pts = pts[mask]
-    if len(pts) == 0:
+    cols = _unit_slice(resolution)
+    mask, slack = _region_masks(kind, *cols)
+    region = np.flatnonzero(mask)
+    if len(region) == 0:
         raise EmptyRegion(
             f"no grid point of the resolution-{resolution} slice lies in "
             f"the {kind.value} region"
         )
-    slack = slack[mask]
-    margins = _margin_for(kind, pts, params, float(scan_times[0]))
+    cols = tuple(np.take(c, region) for c in cols)
+    margins = _margin_for(kind, *cols, params, float(scan_times[0]))
     for t in scan_times[1:]:
-        margins = np.minimum(margins, _margin_for(kind, pts, params, float(t)))
+        margins = np.minimum(margins, _margin_for(kind, *cols, params, float(t)))
     violations = int((margins < -tol).sum())
-    amin = _lexicographic_argmin(margins, pts)
-    near = int((slack < 2.0 / resolution).sum())
+    amin = _lexicographic_argmin(margins, *cols)
+    near = int((np.take(slack, region) < 2.0 / resolution).sum())
     return ScanReport(
         kind=kind,
         params=params,
         resolution=resolution,
-        points_checked=len(pts),
+        points_checked=len(region),
         min_margin=float(margins[amin]),
-        argmin_state=EigenTriple(*pts[amin]),
+        argmin_state=EigenTriple(*(c[amin] for c in cols)),
         violations=violations,
         tol=tol,
         near_boundary_points=near,

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -85,6 +86,49 @@ def test_f_inverse_round_trip(rho):
     y = f_pinch(x, p)
     back = f_inverse(y, p)
     assert np.max(np.abs(back - x) / x) < 1e-12
+
+
+@given(
+    st.floats(min_value=-10.0, max_value=0.24),
+    st.floats(min_value=math.log1p(1e-3), max_value=math.log(1e8)),
+)
+def test_f_inverse_round_trip_hypothesis(rho, log_scale):
+    p = FlowParams(rho=rho)
+    x = f_domain_min(p) * math.exp(log_scale)
+    back = f_inverse(f_pinch(x, p), p)
+    assert abs(back - x) <= 1e-10 * x
+
+
+def test_f_inverse_edges_are_finite_and_quiet():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for rho in (-10.0, -1.0, 0.0, 0.2):
+            p = FlowParams(rho=rho)
+            y_min = f_range_min(p)
+            # the branch point returns the domain edge itself
+            assert f_inverse(y_min, p) == f_domain_min(p)
+            assert f_inverse(np.array([y_min]), p)[0] == f_domain_min(p)
+            near = f_inverse(y_min * (1.0 - 1e-15), p)
+            assert f_domain_min(p) <= near < f_domain_min(p) * (1.0 + 1e-6)
+            huge = f_inverse(1e300, p)
+            assert math.isfinite(huge)
+            assert f_pinch(huge, p) == pytest.approx(1e300, rel=1e-12)
+            grid = np.array([[y_min, 0.0, 1.0], [10.0, 1e10, 1e300]])
+            out = f_inverse(grid, p)
+            assert out.shape == grid.shape
+            assert np.all(np.isfinite(out))
+            assert out.ravel().tolist() == [f_inverse(float(v), p) for v in grid.ravel()]
+
+
+def test_f_inverse_non_finite_input():
+    with pytest.raises(DomainError):
+        f_inverse(float("nan"), P_NEG)
+    with pytest.raises(DomainError):
+        f_inverse(np.array([0.0, np.nan, 1.0]), P_NEG)
+    assert f_inverse(float("inf"), P_NEG) == math.inf
+    out = f_inverse(np.array([0.0, np.inf, 1.0]), P_NEG)
+    assert out[1] == math.inf
+    assert out[[0, 2]].tolist() == [f_inverse(0.0, P_NEG), f_inverse(1.0, P_NEG)]
 
 
 def test_f_is_increasing_on_domain():

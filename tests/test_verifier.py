@@ -68,6 +68,39 @@ def test_scan_reports_near_boundary_points():
     assert 0 < rep.near_boundary_points < rep.points_checked
 
 
+# (kind, rho, eta, min_margin, argmin_state, points_checked, violations,
+# near_boundary_points) at resolution 200, recorded when the slice was
+# one (N, 3) array that each scan masked
+SCAN_PINNED = [
+    ('j-neg-trace', -0.1, -4.0, 0.37241483800914116, (0.2160804020100502, 0.2160804020100502, -1.0), 20000, 0, 100),
+    ('j-neg-trace', -1.0, -4.0, 0.2807336515071168, (0.2663316582914572, 0.2663316582914572, -1.0), 20000, 0, 100),
+    ('j-neg-trace', -10.0, -4.0, 0.2240203169472632, (0.2864321608040201, 0.2864321608040201, -1.0), 20000, 0, 100),
+    ('j-nonneg-trace', -0.1, -4.0, 4.652776605771609e-07, (1.0, -0.005025125628140725, -0.005025125628140725), 9910, 0, 110),
+    ('j-nonneg-trace', -1.0, -4.0, 3.3838375314703285e-07, (1.0, -0.005025125628140725, -0.005025125628140725), 9910, 0, 110),
+    ('j-nonneg-trace', -10.0, -4.0, 2.658729489012367e-07, (1.0, -0.005025125628140725, -0.005025125628140725), 9910, 0, 110),
+    ('i-poly', 0.0, -4.0, 2.5378781485944967e-07, (1.0, -0.005025125628140725, -0.005025125628140725), 34950, 0, 101),
+    ('i-poly', 0.1, -4.0, 1.0354542846298138e-05, (1.0, -0.005025125628140725, -0.005025125628140725), 34950, 0, 101),
+    ('i-poly', 0.24, -4.0, 2.44955998903123e-05, (1.0, -0.005025125628140725, -0.005025125628140725), 34950, 0, 101),
+    ('xi-prime', -0.5, 1.0, 0.04075844996046615, (1.0, 0.015075376884422065, -0.005025125628140725), 5040, 0, 189),
+    ('xi-prime', -0.4, 2.0, 0.04079645468574148, (1.0, 0.015075376884422065, -0.005025125628140725), 5040, 0, 189),
+    ('xi-prime', -0.05, 10.0, 0.042123193934877234, (1.0, 0.015075376884422065, -0.005025125628140725), 5040, 0, 189),
+]
+
+
+@pytest.mark.parametrize(
+    "token,rho,eta,margin,state,points,violations,near", SCAN_PINNED,
+    ids=[f"{case[0]}_rho{case[1]}" for case in SCAN_PINNED],
+)
+def test_scan_reports_are_bit_identical_to_pinned(token, rho, eta, margin, state, points, violations, near):
+    theta = -1.0 / (2.0 * rho) if token == "xi-prime" else 1.0
+    rep = scan_inequality(
+        InequalityKind.from_token(token), FlowParams(rho=rho, eta=eta, theta=theta), resolution=200
+    )
+    assert repr(rep.min_margin) == repr(margin)
+    assert tuple(repr(float(v)) for v in rep.argmin_state.as_tuple()) == tuple(map(repr, state))
+    assert (rep.points_checked, rep.violations, rep.near_boundary_points) == (points, violations, near)
+
+
 def test_empty_region_is_an_error():
     with pytest.raises(EmptyRegion):
         scan_inequality(InequalityKind.J_NONNEG_TRACE, P_NEG, resolution=2)
