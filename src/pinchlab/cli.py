@@ -510,6 +510,10 @@ def _cmd_verify_estimate(res: _Resolved) -> int:
             "violating_seed": report.violating_seed,
             "blowups": report.blowups,
             "min_coverage": report.min_coverage,
+            "steps_accepted": report.steps_accepted,
+            "steps_rejected": report.steps_rejected,
+            "rhs_evals": report.rhs_evals,
+            "terminal_kinds": report.terminal_kinds,
             "trigger_times_worst": (
                 report.reports[report.violating_seed].trigger_times
                 if report.violating_seed is not None

@@ -88,8 +88,9 @@ def f_range_min(params: FlowParams) -> float:
 
 
 def _f_kernel(x, rho: float):
+    # the quotient is formed first, so x times it stays finite wherever f is
     c = 2.0 * (1.0 - 2.0 * rho)
-    return x * (np.log(x) - c) / c
+    return x * ((np.log(x) - c) / c)
 
 
 def f_pinch(x, params: FlowParams):

@@ -269,30 +269,41 @@ def scan_inequality(
 
     if samples is not None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-        pts = rng.uniform(-5.0, 5.0, size=(samples, 3))
-        pts.sort(axis=1)
-        pts = pts[:, ::-1]
-        injected = None
+        draw = rng.uniform(-5.0, 5.0, size=(samples, 3))
+        cols = np.empty((3, samples + (len(_ISO_INJECT) if inject_isotropic else 0)))
+        cols[:, :samples] = draw.T  # three contiguous columns
+        del draw
         if inject_isotropic:
-            injected = np.array([(c, c, c) for c in _ISO_INJECT])
-            pts = np.concatenate([pts, injected], axis=0)
-        cols = pts[:, 0], pts[:, 1], pts[:, 2]
+            cols[:, samples:] = _ISO_INJECT
+        # a three-element compare-exchange network orders each row in
+        # place, lam >= mu >= nu, with the same values as a row sort
+        a, b, c = cols[:, :samples]
+        lo = np.minimum(a, b)
+        np.maximum(a, b, out=a)
+        np.maximum(lo, c, out=b)
+        np.minimum(lo, c, out=c)
+        np.minimum(a, b, out=lo)
+        np.maximum(a, b, out=a)
+        b[:] = lo
+        del lo
+        lam, mu, nu = cols
         margins = _margin_for(kind, *cols, params, 0.0)
-        cutoff = tol * np.maximum(1.0, np.abs(pts).max(axis=1)) ** 3
+        # the largest magnitude of an ordered triple sits at one of its ends
+        cutoff = tol * np.maximum(1.0, np.maximum(np.abs(lam), np.abs(nu))) ** 3
         violations = int((margins < -cutoff).sum())
         amin = _lexicographic_argmin(margins, *cols)
         inj_max = (
-            float(np.abs(margins[-len(injected):]).max())
-            if injected is not None
+            float(np.abs(margins[-len(_ISO_INJECT):]).max())
+            if inject_isotropic
             else None
         )
         return ScanReport(
             kind=kind,
             params=params,
             resolution=resolution,
-            points_checked=len(pts),
+            points_checked=len(lam),
             min_margin=float(margins[amin]),
-            argmin_state=EigenTriple(*pts[amin]),
+            argmin_state=EigenTriple(lam[amin], mu[amin], nu[amin]),
             violations=violations,
             tol=tol,
             near_boundary_points=0,
@@ -347,6 +358,10 @@ class InvarianceReport:
     violating_seed: int | None  # spawn index of the worst sample, if failing
     blowups: int
     checkpoints: int
+    steps_accepted: int  # integrator work summed over the samples
+    steps_rejected: int
+    rhs_evals: int
+    terminal_kinds: dict[str, int]  # terminal kind -> samples, in sample order
     claimed: bool  # False = observation run, never a pass/fail verdict
     recheck_kind: SetKind | None = None
 
@@ -375,14 +390,24 @@ def invariance_is_claimed(spec: SetSpec) -> bool:
     )
 
 
-def _checkpoint_times(traj: Trajectory, uniform: int = 129, nodes: int = 128):
+def _checkpoint_times(traj: Trajectory, uniform: int = 129):
+    """A uniform grid over the covered interval plus every accepted node."""
     t0, t1 = traj.t_start, traj.t_last
     if t1 <= t0:
         return np.asarray([t0])
-    stride = max(1, len(traj.times) // nodes)
-    return np.unique(np.concatenate([
-        np.linspace(t0, t1, uniform), traj.times[::stride], traj.times[-1:]
-    ]))
+    return np.unique(np.concatenate([np.linspace(t0, t1, uniform), traj.times]))
+
+
+def _work_counters(lanes) -> dict:
+    """Integrator work of (stats, terminal kind) lanes, summed in order."""
+    counters = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+    kinds: dict[str, int] = {}
+    for stats, kind in lanes:
+        counters["steps_accepted"] += stats["accepted"]
+        counters["steps_rejected"] += stats["rejected"]
+        counters["rhs_evals"] += stats["rhs_evals"]
+        kinds[kind] = kinds.get(kind, 0) + 1
+    return {**counters, "terminal_kinds": kinds}
 
 
 def _drift_one(
@@ -391,18 +416,14 @@ def _drift_one(
     recheck: SetSpec,
     horizon: float,
     config: IntegratorConfig,
-) -> tuple[float, bool, int]:
+) -> tuple[float, int, dict, str]:
     traj = integrate(state, spec.params, 0.0, horizon, config)
     ts = _checkpoint_times(traj)
     rows = traj.eval_many(ts)
     margins = margin_array(recheck, rows[:, 0], rows[:, 1], rows[:, 2], ts)
     trace = rows.sum(axis=1)
     drift = margins / (1.0 + np.abs(trace))
-    return (
-        float(drift.min()),
-        traj.terminal.kind == BLOWUP,
-        len(ts),
-    )
+    return float(drift.min()), len(ts), traj.stats, traj.terminal.kind
 
 
 def check_invariance(
@@ -418,9 +439,10 @@ def check_invariance(
 
     Draws ``samples`` states with membership margin in [0, 100*tol] at
     t=0, integrates each over [0, horizon] (blow-ups recorded, not
-    errors), and evaluates membership margins at dense checkpoints with
-    the region clock advancing along each trajectory.  worst_drift is
-    the most negative normalized margin seen anywhere.
+    errors), and evaluates membership margins on a uniform grid and at
+    every accepted node, with the region clock advancing along each
+    trajectory.  worst_drift is the most negative normalized margin seen
+    anywhere; the integrator's work is summed into the report.
 
     ``recheck`` swaps the region evaluated along trajectories (still
     sampling from ``spec``) — e.g. probing whether the sectional-log
@@ -437,7 +459,7 @@ def check_invariance(
     band = 100.0 * tol
     states = sample_set(spec, 0.0, samples, seed, band=band)
 
-    def work(i: int) -> tuple[float, bool, int]:
+    def work(i: int) -> tuple[float, int, dict, str]:
         return _drift_one(states[i], spec, eff_recheck, horizon, cfg)
 
     workers = thread_count()
@@ -449,14 +471,13 @@ def check_invariance(
 
     worst = math.inf
     worst_idx = -1
-    blowups = 0
     points = 0
-    for i, (drift, blew, npts) in enumerate(results):
-        blowups += blew
+    for i, (drift, npts, _, _) in enumerate(results):
         points += npts
         if drift < worst:
             worst = drift
             worst_idx = i
+    work_done = _work_counters((stats, kind) for _, _, stats, kind in results)
     claimed = invariance_is_claimed(spec) and recheck is None
     return InvarianceReport(
         spec=spec,
@@ -467,8 +488,9 @@ def check_invariance(
         tol=tol,
         worst_drift=worst,
         violating_seed=worst_idx if worst < -tol else None,
-        blowups=blowups,
+        blowups=work_done["terminal_kinds"].get(BLOWUP, 0),
         checkpoints=points,
+        **work_done,
         claimed=claimed,
         recheck_kind=eff_recheck.kind if recheck is not None else None,
     )
@@ -499,6 +521,10 @@ class EstimateSuiteReport:
     violating_seed: int | None
     blowups: int
     min_coverage: float  # lower bound on covered fraction of blow-up time
+    steps_accepted: int  # integrator work summed over the trajectories
+    steps_rejected: int
+    rhs_evals: int
+    terminal_kinds: dict[str, int]  # terminal kind -> trajectories, in order
     reports: tuple[EstimateReport, ...] = field(repr=False)
 
 
@@ -537,7 +563,7 @@ def check_estimate(
     bad = _hypothesis_ok(variant, traj.states_array[0])
     if bad is not None:
         raise HypothesisViolated(f"{variant.value}: {bad}")
-    ts = _checkpoint_times(traj, uniform=257, nodes=256)
+    ts = _checkpoint_times(traj, uniform=257)
     rows = traj.eval_many(ts)
     smallest = (
         rows[:, 1] + rows[:, 2]
@@ -633,17 +659,16 @@ def estimate_suite(
     cfg = config or IntegratorConfig()
     states = _estimate_initial_states(variant, count, seed)
 
-    def work(i: int) -> tuple[EstimateReport, bool, float]:
+    def work(i: int) -> tuple[EstimateReport, float | None, dict, str]:
         traj = integrate(states[i], params, 0.0, t_end, cfg)
         rep = check_estimate(traj, variant, params, tol, trajectory_id=str(i))
-        blew = traj.terminal.kind == BLOWUP
-        coverage = 0.0
-        if blew:
+        coverage = None
+        if traj.terminal.kind == BLOWUP:
             t_last = traj.t_last
             trace_last = float(traj.states_array[-1].sum())
             remaining = 3.0 / (4.0 * (1.0 - 3.0 * params.rho) * trace_last)
             coverage = t_last / (t_last + remaining)
-        return rep, blew, coverage
+        return rep, coverage, traj.stats, traj.terminal.kind
 
     workers = thread_count()
     if workers > 1 and count > 1:
@@ -654,15 +679,15 @@ def estimate_suite(
 
     worst = math.inf
     worst_idx = -1
-    blowups = 0
     coverage = math.inf
-    for i, (rep, blew, cov) in enumerate(results):
-        blowups += blew
-        if blew:
+    for i, (rep, cov, _, _) in enumerate(results):
+        if cov is not None:
             coverage = min(coverage, cov)
         if rep.worst_slack < worst:
             worst = rep.worst_slack
             worst_idx = i
+    work_done = _work_counters((stats, kind) for _, _, stats, kind in results)
+    blowups = work_done["terminal_kinds"].get(BLOWUP, 0)
     return EstimateSuiteReport(
         variant=variant,
         params=params,
@@ -673,7 +698,8 @@ def estimate_suite(
         violating_seed=worst_idx if worst < -tol else None,
         blowups=blowups,
         min_coverage=coverage if blowups else 0.0,
-        reports=tuple(r for r, _, _ in results),
+        **work_done,
+        reports=tuple(r for r, _, _, _ in results),
     )
 
 

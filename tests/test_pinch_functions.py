@@ -120,6 +120,18 @@ def test_f_inverse_edges_are_finite_and_quiet():
             assert out.ravel().tolist() == [f_inverse(float(v), p) for v in grid.ravel()]
 
 
+@pytest.mark.parametrize("y,rho", [(1e307, -10.0), (1.7e308, -1.0)])
+def test_f_inverse_near_float_max_is_quiet(y, rho):
+    # x (log x - c) overflowed here although x and f(x) are finite
+    p = FlowParams(rho=rho)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        x = f_inverse(y, p)
+        assert math.isfinite(x)
+        assert abs(f_pinch(x, p) - y) <= 1e-12 * y
+        assert abs(f_pinch(np.array([x]), p)[0] - y) <= 1e-12 * y
+
+
 def test_f_inverse_non_finite_input():
     with pytest.raises(DomainError):
         f_inverse(float("nan"), P_NEG)
