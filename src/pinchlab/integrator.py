@@ -41,18 +41,21 @@ l(sigma)) + sigma D(sigma) with A = e^(-l0)/G (A = 0 for a plain step).
 
 A trajectory is still read in t: ``times`` and ``states_array`` hold t
 and y = e^l u at the accepted nodes.  ``eval_many`` finds the step that
-covers each time, solves t(sigma) = t on that step's clock by a fixed
-number of guarded Newton steps from the sigma of an exponential clock,
-and returns e^l(sigma) u(sigma); nodes are returned exactly.
+covers each time, solves t(sigma) = t on that step's clock by two
+guarded Newton steps from the sigma of an exponential clock, and returns
+e^l(sigma) u(sigma); nodes are returned exactly.
 
 Terminal rules:
 
-* a step that would pass t_end is retried at the sigma where its clock
-  reaches t_end, and the node it lands on, if within the step's t
-  tolerance of t_end, is set to exactly t_end (``reached_end``);
-* ``max_step`` caps the t-increment of every step: steps are sized to
-  add max_step to t at the current l-rate, and one that still exceeds it
-  is retried at 0.9 of the cap, the controller's safety;
+* a step is sized to add no more than max_step, or what is left to
+  t_end, to t at the l-rate of its start held fixed.  A step sized to
+  t_end is set on exactly t_end if it ends within the rounding of its
+  t-increment of it (``reached_end``); one that falls short is accepted
+  at its own time, and the next step is sized to the remainder;
+* a step that passes t_end all the same is retried at the sigma where
+  its clock reaches t_end, and one whose t-increment exceeds max_step at
+  0.9 of the cap, the controller's safety; the node is never moved to a
+  time its state was not integrated to;
 * an accepted state past ``blowup_norm`` in sup-norm ends the trajectory
   with a blow-up record (``norm_exceeded``);
 * a step that no longer advances the float t ends it as a blow-up with
@@ -141,12 +144,19 @@ _FAC_MIN = 0.2
 _FAC_MAX = 10.0
 # Newton steps on t(sigma) = t; measured on 42 X-band, estimate and mixed
 # trajectories at the default and at 1e-6 tolerances, 20 times per step,
-# they leave 1.5e-7, 2.0e-14 and 3.9e-16 of the step's t-increment, and a
-# fourth no less than the third
-_NEWTON_STEPS = 3
+# they leave at worst 1.5e-7, 2.0e-14 and 3.9e-16 of the step's
+# t-increment.  Two put a time within 1e-13 of its step, four orders
+# below the interpolant's own error at the default tolerances; a third
+# would cost about a fifth of a small batch's evaluation
+_NEWTON_STEPS = 2
 # relative error of the pair's quadrature of e^(-rise sigma) over a step,
 # per rise^6 (measured: 1.63e-11 at rise 0.1, 4.37e-9 at 0.3)
 _QUAD = 1.6e-5
+# the rounding of a step's t-increment, a sum of seven products weighted
+# by up to 1.64 in all, and of t + increment, in ulps of max(|t|, |t_end|),
+# with room: a retried step that ends this close to t_end lands on it.
+# Below it the retried step's t1 moves by rounding alone, not with sigma
+_LAND_ULPS = 32
 # below this sup-norm the field underflows and the state cannot move
 _TINY = 1e-300
 
@@ -198,10 +208,10 @@ def _horner(c, sig):
 
 # multiplies the sigma^1..sigma^4 coefficients of a quartic to give those
 # of its derivative, sigma^0..sigma^3
-_DERIVE = np.array([1.0, 2.0, 3.0, 4.0])[:, None, None]
+_DERIVE = np.array([1.0, 2.0, 3.0, 4.0])[:, None]
 
 
-def _sigma_at(c: np.ndarray, t0: np.ndarray, t1: np.ndarray, ts: np.ndarray) -> np.ndarray:
+def _sigma_at(c: np.ndarray, t0, t1, ts) -> np.ndarray:
     """Step fractions at which the clocks of steps [t0, t1] reach ``ts``;
     ``c`` (5, 5, m) holds each step's coefficients, coefficient first.
 
@@ -210,24 +220,27 @@ def _sigma_at(c: np.ndarray, t0: np.ndarray, t1: np.ndarray, ts: np.ndarray) -> 
     each skipped where the slope is not positive and clamped to [0, 1].
     Every row depends on its own inputs only.
     """
-    amp, lt = c[0, 4], c[1:, 3:]  # lt: sigma^1..4 coefficients of l and t
-    # l - l0 and t - t0 over sigma, then their derivatives, each (4, m)
-    polys = np.concatenate([lt, lt * _DERIVE], axis=1)
+    amp, ln, tq = c[0, 4], -c[1:, 3], c[1:, 4]  # sigma^1..4 of l0 - l and t - t0
+    # l0 - l and t - t0 over sigma, then their derivatives, the first
+    # times the clock amplitude: (coefficient, row, m)
+    polys = np.empty((4, 4, c.shape[2]))
+    polys[:, 0], polys[:, 1] = ln, tq
+    polys[:, 2], polys[:, 3] = ln * _DERIVE * amp, tq * _DERIVE
     rise = ts - t0
     r = rise / (t1 - t0)
-    grow = lt[0, 0] + lt[1, 0] + lt[2, 0] + lt[3, 0]  # l-increment of the step
+    drop = ln[0] + ln[1] + ln[2] + ln[3]  # l0 - l at the end of the step
     # the guards below discard the quotients that raise these
     with np.errstate(divide="ignore", invalid="ignore"):
-        # r expm1(-grow) = -1 only at r = 1 of a step whose e^(-grow)
-        # rounds to 0, where log1p gives -inf and sigma clamps to 1
-        sig = np.where(grow != 0.0, np.log1p(r * np.expm1(-grow)) / -grow, r)
+        # r expm1(drop) = -1 only at r = 1 of a step whose e^drop rounds
+        # to 0, where log1p gives -inf and sigma clamps to 1
+        sig = np.where(drop != 0.0, np.log1p(r * np.expm1(drop)) / drop, r)
         for _ in range(_NEWTON_STEPS):
-            sig = np.minimum(np.maximum(sig, 0.0), 1.0)
-            dl, dt, dl_ds, dt_ds = polys[0] + sig * (polys[1] + sig * (polys[2] + sig * polys[3]))
-            em = np.expm1(-sig * dl)
-            slope = dt_ds + amp * (1.0 + em) * dl_ds
-            sig = sig - np.where(slope > 0.0, (sig * dt - amp * em - rise) / slope, 0.0)
-    return np.minimum(np.maximum(sig, 0.0), 1.0)
+            sig = np.fmin(np.fmax(sig, 0.0), 1.0)
+            nl, tq, nslope, tslope = polys[0] + sig * (polys[1] + sig * (polys[2] + sig * polys[3]))
+            em = np.expm1(sig * nl)
+            slope = tslope - (1.0 + em) * nslope
+            sig = sig - np.where(slope > 0.0, (sig * tq - amp * em - rise) / slope, 0.0)
+    return np.fmin(np.fmax(sig, 0.0), 1.0)
 
 
 @dataclass(frozen=True)
@@ -282,21 +295,21 @@ class Trajectory:
                 f"evaluation times must be finite and lie in "
                 f"[{self.times[0]}, {self.times[-1]}]"
             )
-        # in range, both searches are already bounded below
-        n = len(self.times)
-        idx = np.minimum(np.searchsorted(self.times, flat), n - 1)
-        exact = self.times[idx] == flat
+        # in range, so every time has a first node at or after it
+        k = np.searchsorted(self.times, flat)
         if self.dense.shape[0] == 0:
             # degenerate single-node trajectory: only t0 is in range
             out = np.repeat(self.states_array[:1], flat.size, axis=0)
             return out if ts.ndim else out[0]
-        step = np.minimum(np.searchsorted(self.times, flat, side="right") - 1, n - 2)
+        # a time off the nodes lies inside step k - 1; nodes keep their state
+        step = np.maximum(k - 1, 0)
         # coefficient, component, point: every operand below is contiguous
         c = np.ascontiguousarray(self.dense[step].transpose(2, 1, 0))
         sig = _sigma_at(c, self.times[step], self.times[step + 1], flat)
-        ul, um, un, ell = _horner(c[:, :4], sig)
-        out = (np.exp(ell) * np.array([ul, um, un])).T
-        out[exact] = self.states_array[idx[exact]]
+        y = _horner(c[:, :4], sig)
+        out = np.where(
+            (self.times[k] == flat)[:, None], self.states_array[k], (np.exp(y[3]) * y[:3]).T
+        )
         return out if ts.ndim else out[0]
 
     def eval_at(self, t: float) -> EigenTriple:
@@ -333,49 +346,24 @@ def _dense_weights(starts: np.ndarray, hs: np.ndarray, stages: np.ndarray) -> np
     return out
 
 
-def _clock(q, sig: float) -> tuple[float, float]:
-    """t(sigma) - t0 and its sigma-derivative on one step's coefficients
-    ``q`` (5 rows of 5, as in Trajectory.dense); the scalar form of the
-    clock that _sigma_at inverts for arrays."""
-    _, l1, l2, l3, l4 = q[3]
-    amp, d1, d2, d3, d4 = q[4]
-    em = math.expm1(-sig * (l1 + sig * (l2 + sig * (l3 + sig * l4))))
-    value = sig * (d1 + sig * (d2 + sig * (d3 + sig * d4))) - amp * em
-    slope = d1 + sig * (2.0 * d2 + sig * (3.0 * d3 + sig * 4.0 * d4)) + amp * (1.0 + em) * (
-        l1 + sig * (2.0 * l2 + sig * (3.0 * l3 + sig * 4.0 * l4))
-    )
-    return value, slope
-
-
-def _step_fraction(q, rise: float, span: float) -> float:
-    """The sigma at which one step's clock has risen by ``rise`` of its
-    ``span``: _sigma_at's start and Newton steps, in scalar arithmetic."""
-    grow = q[3][1] + q[3][2] + q[3][3] + q[3][4]
-    x = rise / span * math.expm1(-grow)
-    sig = rise / span if grow == 0.0 else (math.log1p(x) / -grow if x > -1.0 else 1.0)
-    for _ in range(_NEWTON_STEPS):
-        sig = min(max(sig, 0.0), 1.0)
-        value, slope = _clock(q, sig)
-        if slope > 0.0:
-            sig -= (value - rise) / slope
-    return min(max(sig, 0.0), 1.0)
-
-
 def _locate_event(g, g0, t_lo, t_hi, q) -> float:
     """Bisect the sign change of ``g`` across the step [t_lo, t_hi] in
     sigma on its coefficients ``q`` (5 rows of 5) to 1e-10 in t."""
     t0 = t_lo
+    (l0, l1, l2, l3, l4), (amp, d1, d2, d3, d4) = q[3], q[4]
     lo, hi = 0.0, 1.0
     glo = g0
     while t_hi - t_lo > 1e-10:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        ul, um, un, ell = (
-            c[0] + mid * (c[1] + mid * (c[2] + mid * (c[3] + mid * c[4]))) for c in q[:4]
+        ul, um, un = (
+            c[0] + mid * (c[1] + mid * (c[2] + mid * (c[3] + mid * c[4]))) for c in q[:3]
         )
-        tm = t0 + _clock(q, mid)[0]
-        scale = math.exp(ell)
+        # the clock of Trajectory.dense: sigma D(sigma) - A expm1(l0 - l)
+        dl = mid * (l1 + mid * (l2 + mid * (l3 + mid * l4)))
+        tm = t0 + (mid * (d1 + mid * (d2 + mid * (d3 + mid * d4))) - amp * math.expm1(-dl))
+        scale = math.exp(l0 + dl)
         gm = g(tm, scale * ul, scale * um, scale * un)
         if (gm < 0.0) == (glo < 0.0):
             lo, glo, t_lo = mid, gm, tm
@@ -463,11 +451,15 @@ def integrate(
     naccept = nreject = 0
 
     for _ in range(cfg.max_steps):
-        if not landing and max_step < t_end - t:
-            # the step that adds max_step to t at the l-rate g1 held fixed
-            x = max_step * g1 * scale
+        if not landing:
+            # the step that adds max_step, or what is left to t_end, to t
+            # at the l-rate g1 held fixed; one sized to t_end lands on it
+            dt = min(max_step, t_end - t)
+            x = dt * g1 * scale
             if x < 1.0:
-                h = min(h, max_step * scale if x == 0.0 else -log1p(-x) / g1)
+                hc = dt * scale if x == 0.0 else -log1p(-x) / g1
+                if hc <= h:
+                    h, landing = hc, dt == t_end - t
         try:
             ha = h * _A21
             al = ul + ha * k1l
@@ -577,8 +569,9 @@ def integrate(
         rm = em / (atol + rtol * max(abs(um), abs(u1m)))
         rn = en / (atol + rtol * max(abs(un), abs(u1n)))
         rg = eg / rtol
-        tol_t = atol + rtol * max(abs(t), abs(t1))
-        rt = et / tol_t
+        # t1 clipped to [t, t_end]: a wild claimed t1 must not widen its
+        # own tolerance
+        rt = et / (atol + rtol * max(abs(t), abs(min(max(t1, t), t_end))))
         err = math.sqrt((rl * rl + rm * rm + rn * rn + rg * rg + rt * rt) / 5.0)
         if err > 1.0:  # reject
             nreject += 1
@@ -590,22 +583,25 @@ def integrate(
             k1l, k1m, k1n, g1, c1, k3l, k3m, k3n, g3, c3, k4l, k4m, k4n, g4, c4,
             k5l, k5m, k5n, g5, c5, k6l, k6m, k6n, g6, c6, k7l, k7m, k7n, g7, c7,
         )
-        if landing and abs(t1 - t_end) > tol_t:
-            landing = False  # the retried step missed t_end: take it as it is
-        if not landing and (t1 > t_end or t1 - t > max_step):
-            # retry at the sigma where this step's clock reaches t_end, and
-            # land the retried step on it, or 0.9 of the max_step cap
+        if landing:
+            landing = False
+            # a step sized to t_end that ends within the rounding of its
+            # own t-increment of it is put on it; one that falls short is
+            # taken at its own t1
+            if abs(t1 - t_end) <= _LAND_ULPS * math.ulp(max(abs(t), abs(t_end))):
+                t1 = t_end
+        if t1 > t_end or t1 - t > max_step:
+            # retry at the sigma where this step's clock reaches t_end, or
+            # 0.9 of the max_step cap
             landing = t_end - t <= max_step
-            q = _dense_weights(
+            c = _dense_weights(
                 np.array([[ul, um, un, ell, amp]]), np.array([h]),
                 np.array(step).reshape(1, 6, 5),
-            )[0].tolist()
+            ).transpose(2, 1, 0)
             target = t_end if landing else t + _SAFETY * max_step
-            h *= _step_fraction(q, target - t, t1 - t)
+            h *= float(_sigma_at(c, 0.0, t1 - t, target - t)[0])
             nreject += 1
             continue
-        if landing:
-            t1 = t_end
         if t1 <= t:
             # the clock no longer moves: only a blow-up gets here
             terminal = TerminalStatus(BLOWUP, t_est=t, step_collapse=True)

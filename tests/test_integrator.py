@@ -91,7 +91,9 @@ def test_blowup_detected_at_known_time():
 
 
 def test_step_limit_reported():
-    cfg = IntegratorConfig(max_steps=4)
+    # the run takes 4 attempts: on the isotropic line the step sized to
+    # t_end at the l-rate of its start lands on it
+    cfg = IntegratorConfig(max_steps=3)
     traj = integrate(EigenTriple(1.0, 1.0, 1.0), P0, 0.0, 0.2, cfg)
     assert traj.terminal.kind == STEP_LIMIT
 
@@ -231,15 +233,15 @@ def test_fixed_step_error_decays_at_high_order():
     # halving the step must shrink the error by roughly 2^5.  The start is
     # not isotropic: there u stands still, l grows linearly and the clock
     # is integrated in closed form, so that solution carries no
-    # truncation error at all.  The error is read at the last node before
-    # t_end: the step that lands on t_end is sized from the interpolant
-    # of an attempt at tolerance 10, whose error is not the stepper's
+    # truncation error at all.  The error is read at the node on t_end
     y0 = (-0.2, -0.5, -1.0)
+    want = _reference(y0, P0, [1.0])[-1]
 
     def err(h):
         cfg = IntegratorConfig(rel_tol=10.0, abs_tol=10.0, max_step=h)
         tr = integrate(EigenTriple(*y0), P0, 0.0, 1.0, cfg)
-        return np.max(np.abs(tr.states_array[-2] - _reference(y0, P0, [tr.times[-2]])[-1]))
+        assert repr(tr.t_last) == "1.0"
+        return np.max(np.abs(tr.states_array[-1] - want))
 
     e1, e2 = err(0.05), err(0.025)
     assert e1 / e2 > 20.0  # at least ~order 4.3; exactly 32 for order 5
@@ -268,7 +270,11 @@ def test_stats_count_work():
         EigenTriple(1e6, 1e6, -1e6), P0, 0.0, 1.0,
         IntegratorConfig(rel_tol=1e3, abs_tol=1e3, blowup_norm=1e307),
     )
-    assert loose.stats == {"accepted": 11, "rejected": 4, "rhs_evals": 91}
+    # the start blows up before t = 7.5e-7; at these tolerances only the
+    # stalled clock reports it
+    assert loose.terminal.kind == BLOWUP and loose.terminal.step_collapse
+    assert loose.t_last < 7.5e-7
+    assert loose.stats == {"accepted": 13, "rejected": 7, "rhs_evals": 121}
 
 
 # Trajectories pinned bit for bit: step counts, terminal record, last time,
@@ -300,7 +306,7 @@ PINNED = {
         (118, 1),
         TerminalStatus(REACHED_END),
         "0.05", [],
-        "8c3944a61b8df1e7ec2f1fcbbfb0b735626c00c59bd2c18e712afbd539761f62",
+        "0722a3120868dd9b6f0e3ff54c99b62a41f95ee21b611a6a1919ebc7b9d55b8a",
     ),
     "trigger_events": (
         EigenTriple(2.522234183692774, 2.4686038564983797, -3.1971245915690485),
@@ -417,6 +423,12 @@ def test_lands_exactly_on_t_end():
         traj = integrate(EigenTriple(1.0, 0.5, -0.5), P0, 0.0, t_end)
         assert traj.terminal.kind == REACHED_END
         assert repr(traj.t_last) == repr(t_end)
+    # a step sized to t_end at the l-rate of its start overshoots here and
+    # is retried at the sigma where its clock reaches t_end
+    traj = integrate(EigenTriple(2.0, -1.0, -1.5), FlowParams(rho=0.1), 0.0, 0.2)
+    assert traj.terminal.kind == REACHED_END and traj.stats["rejected"] == 1
+    assert repr(traj.t_last) == "0.2"
+    assert np.all(np.diff(traj.times) > 0.0)
 
 
 @pytest.mark.parametrize("y0", [(-0.5, -1.0, -1.5), (1.0, 0.5, -0.5)])
