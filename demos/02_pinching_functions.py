@@ -29,12 +29,11 @@ from pinchlab import (
     f_inverse,
     f_pinch,
     integrate,
-    j_polynomial,
     lambda_pinch,
     lambda_pinch_rate,
     xi_pinch_rate,
 )
-from pinchlab.pinch_functions import xi_prime_numerator_array
+from pinchlab.pinch_functions import j_poly_array, xi_prime_numerator_array
 
 params = FlowParams(rho=-1.0)
 
@@ -53,7 +52,7 @@ state = EigenTriple(2.0, -1.0, -1.0)
 print(f"   value at (2,-1,-1):  {lambda_pinch(state, params):.12f}")
 print(f"   rate (closed form):  {lambda_pinch_rate(state, params):.12f}")
 print(f"   2 J / (mu+nu)^2:     "
-      f"{2.0 * j_polynomial(state, params) / (-2.0)**2:.12f}")
+      f"{2.0 * j_poly_array(*state.as_tuple(), params.rho) / (-2.0)**2:.12f}")
 
 print()
 print("== 3. central differences confirm the identity at O(h^2)")
@@ -81,4 +80,4 @@ traj = integrate(EigenTriple(0.5, -0.8, -0.9), params, 0.0, 0.01)
 for t in np.linspace(0.0, traj.t_last, 6):
     st = traj.eval_at(float(t))
     print(f"   t={t:7.4f}  quantity={lambda_pinch(st, params):.8f}  "
-          f"J={j_polynomial(st, params):.4f}")
+          f"J={j_poly_array(*st.as_tuple(), params.rho):.4f}")

@@ -19,13 +19,9 @@ from .cone_sets import (
 )
 from .eigen_ode import (
     RHO_MAX,
-    DerivedCurvatures,
-    EigenDerivative,
     EigenTriple,
     FlowParams,
-    derived_curvatures,
     isotropic_solution,
-    rhs,
     rhs_array,
 )
 from .errors import (
@@ -49,14 +45,11 @@ from .integrator import (
 )
 from .pinch_functions import (
     EstimateVariant,
-    estimate_rhs,
     estimate_rhs_array,
     f_domain_min,
     f_inverse,
     f_pinch,
     f_range_min,
-    i_polynomial,
-    j_polynomial,
     lambda_pinch,
     lambda_pinch_rate,
     xi_pinch,
@@ -85,11 +78,7 @@ __all__ = [
     "RHO_MAX",
     "EigenTriple",
     "FlowParams",
-    "EigenDerivative",
-    "DerivedCurvatures",
-    "rhs",
     "rhs_array",
-    "derived_curvatures",
     "isotropic_solution",
     "EstimateVariant",
     "f_pinch",
@@ -98,11 +87,8 @@ __all__ = [
     "f_range_min",
     "lambda_pinch",
     "lambda_pinch_rate",
-    "j_polynomial",
-    "i_polynomial",
     "xi_pinch",
     "xi_pinch_rate",
-    "estimate_rhs",
     "estimate_rhs_array",
     "IntegratorConfig",
     "Trajectory",

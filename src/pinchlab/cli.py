@@ -62,6 +62,34 @@ class _UsageError(Exception):
     pass
 
 
+def _cast(section: str, key: str, value, cast):
+    """``value`` read as ``cast``: int, float, bool, str, list (a list of
+    floats, returned as a tuple) or an Enum whose values are the option's
+    tokens.  Flags arrive typed but config values do not, so a value of
+    the wrong type is a usage error that names its key."""
+    if issubclass(cast, Enum):
+        try:
+            return cast(value)
+        except ValueError:
+            valid = ", ".join(m.value for m in cast)
+            raise _UsageError(
+                f"unknown --{key.replace('_', '-')} {value!r}; "
+                f"expected one of {valid}"
+            ) from None
+    if cast is list and isinstance(value, list):
+        return tuple(_cast(section, key, v, float) for v in value)
+    if cast in (bool, str) and isinstance(value, cast):
+        return value
+    if cast in (int, float) and not isinstance(value, bool):
+        try:
+            return cast(value)
+        except (TypeError, ValueError, OverflowError):
+            pass
+    raise _UsageError(
+        f"config value {section}.{key} must be {cast.__name__}, got {value!r}"
+    )
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
@@ -106,7 +134,10 @@ class _Resolved:
         self.args = args
         self.config = config
 
-    def get(self, section: str, key: str, default=None, required: bool = False):
+    def get(
+        self, section: str, key: str, default=None, required: bool = False,
+        cast=None,
+    ):
         v = getattr(self.args, key, None)
         if v is None:
             v = self.config.get(section, {}).get(key)
@@ -114,25 +145,25 @@ class _Resolved:
             v = default
         if v is None and required:
             raise _UsageError(f"missing required option --{key.replace('_', '-')}")
-        return v
+        return v if v is None or cast is None else _cast(section, key, v, cast)
 
     def flow_params(self, default_theta: float | None = None) -> FlowParams:
-        rho = self.get("params", "rho", required=True)
-        eta = self.get("params", "eta", default=-4.0)
-        theta = self.get("params", "theta")
+        rho = self.get("params", "rho", required=True, cast=float)
+        eta = self.get("params", "eta", default=-4.0, cast=float)
+        theta = self.get("params", "theta", cast=float)
         if theta is None:
             theta = 1.0 if default_theta is None else default_theta
         try:
-            return FlowParams(rho=float(rho), eta=float(eta), theta=float(theta))
-        except (ValueError, DomainError) as exc:
+            return FlowParams(rho=rho, eta=eta, theta=theta)
+        except DomainError as exc:
             raise _UsageError(str(exc))
 
     def integrator_config(self) -> IntegratorConfig:
         kw = {}
         for key in _INTEGRATOR_KEYS:
-            v = self.get("integrator", key)
+            v = self.get("integrator", key, cast=int if key == "max_steps" else float)
             if v is not None:
-                kw[key] = int(v) if key == "max_steps" else float(v)
+                kw[key] = v
         try:
             return IntegratorConfig(**kw)
         except ValueError as exc:
@@ -369,7 +400,7 @@ def _base_meta(res: _Resolved, command: str, params: FlowParams | None) -> dict:
         meta["params"] = {
             "rho": params.rho, "eta": params.eta, "theta": params.theta,
         }
-    if res.get("output", "stamp", default=False):
+    if res.get("output", "stamp", default=False, cast=bool):
         meta["generated_at"] = datetime.datetime.now(
             datetime.timezone.utc
         ).isoformat()
@@ -389,16 +420,16 @@ def _cfg_meta(cfg: IntegratorConfig) -> dict:
 def _cmd_simulate(res: _Resolved) -> int:
     params = res.flow_params()
     cfg = res.integrator_config()
-    state_raw = res.get("command", "state", required=True)
+    state_raw = res.get("command", "state", required=True, cast=str)
     try:
-        l, m, n = (float(x) for x in str(state_raw).split(","))
+        l, m, n = (float(x) for x in state_raw.split(","))
         state = EigenTriple(l, m, n)
     except (ValueError, DomainError) as exc:
         raise _UsageError(f"bad --state {state_raw!r}: {exc}")
-    t0 = float(res.get("command", "t0", default=0.0))
-    t_end = float(res.get("command", "t_end", required=True))
-    points = int(res.get("output", "points", default=201))
-    out = res.get("output", "out", required=True)
+    t0 = res.get("command", "t0", default=0.0, cast=float)
+    t_end = res.get("command", "t_end", required=True, cast=float)
+    points = res.get("output", "points", default=201, cast=int)
+    out = res.get("output", "out", required=True, cast=str)
     meta = _base_meta(res, "simulate", params)
     meta["integrator"] = _cfg_meta(cfg)
     meta["state0"] = state.as_tuple()
@@ -416,55 +447,49 @@ def _cmd_simulate(res: _Resolved) -> int:
 
 
 def _cmd_scan(res: _Resolved) -> int:
-    kind = InequalityKind.from_token(res.get("command", "kind", required=True))
+    kind = res.get("command", "kind", required=True, cast=InequalityKind)
     default_theta = None
     if kind is InequalityKind.XI_PRIME:
-        rho = res.get("params", "rho", required=True)
-        default_theta = -1.0 / (2.0 * float(rho))
+        rho = res.get("params", "rho", required=True, cast=float)
+        if rho < 0:  # outside the scan window the window check reports
+            default_theta = -1.0 / (2.0 * rho)
     params = res.flow_params(default_theta=default_theta)
-    resolution = int(res.get("command", "resolution", default=200))
-    tol = float(res.get("command", "tol", default=1e-12))
-    scan_times = res.get("command", "scan_times") or (0.0,)
-    samples = res.get("command", "samples")
-    seed = int(res.get("command", "seed", default=0))
-    inject = res.get("command", "inject", default=True)
     report = scan_inequality(
         kind,
         params,
-        resolution=resolution,
-        tol=tol,
-        scan_times=tuple(float(t) for t in scan_times),
-        samples=None if samples is None else int(samples),
-        seed=seed,
-        inject_isotropic=bool(inject),
+        resolution=res.get("command", "resolution", default=200, cast=int),
+        tol=res.get("command", "tol", default=1e-12, cast=float),
+        scan_times=res.get("command", "scan_times", cast=list) or (0.0,),
+        samples=res.get("command", "samples", cast=int),
+        seed=res.get("command", "seed", default=0, cast=int),
+        inject_isotropic=res.get("command", "inject", default=True, cast=bool),
     )
     payload = {
         "meta": _base_meta(res, "scan", params),
         "report": report,
     }
-    out = res.get("output", "out")
+    out = res.get("output", "out", cast=str)
     fmt = _pick_format(res, out)
     write_report(payload, out, fmt)
     return 1 if report.violations > 0 else 0
 
 
 def _cmd_verify_set(res: _Resolved) -> int:
-    token = res.get("command", "set", required=True)
-    kind = SetKind.from_token(str(token))
+    kind = res.get("command", "set", required=True, cast=SetKind)
     params = res.flow_params()
     try:
         spec = SetSpec(kind, params)
     except DomainError as exc:
         raise _UsageError(str(exc))
     recheck = None
-    recheck_token = res.get("command", "recheck_set")
-    if recheck_token is not None:
-        recheck = SetSpec(SetKind.from_token(str(recheck_token)), params)
+    recheck_kind = res.get("command", "recheck_set", cast=SetKind)
+    if recheck_kind is not None:
+        recheck = SetSpec(recheck_kind, params)
     cfg = res.integrator_config()
-    samples = int(res.get("command", "samples", default=1000))
-    horizon = float(res.get("command", "horizon", default=0.05))
-    seed = int(res.get("command", "seed", default=42))
-    tol = float(res.get("command", "tol", default=1e-8))
+    samples = res.get("command", "samples", default=1000, cast=int)
+    horizon = res.get("command", "horizon", default=0.05, cast=float)
+    seed = res.get("command", "seed", default=42, cast=int)
+    tol = res.get("command", "tol", default=1e-8, cast=float)
     report = check_invariance(
         spec, samples, horizon, seed, cfg, tol, recheck=recheck
     )
@@ -473,27 +498,20 @@ def _cmd_verify_set(res: _Resolved) -> int:
     meta["prng"] = "numpy PCG64, per-sample SeedSequence(seed).spawn(i)"
     meta["drift_normalization"] = "margin / (1 + |trace|)"
     payload = {"meta": meta, "report": report}
-    out = res.get("output", "out")
+    out = res.get("output", "out", cast=str)
     write_report(payload, out, _pick_format(res, out))
     failed = report.claimed and report.worst_drift < -tol
     return 1 if failed else 0
 
 
 def _cmd_verify_estimate(res: _Resolved) -> int:
-    token = str(res.get("command", "variant", required=True))
-    variant = None
-    for v in EstimateVariant:
-        if v.value == token:
-            variant = v
-    if variant is None:
-        valid = ", ".join(v.value for v in EstimateVariant)
-        raise _UsageError(f"unknown variant {token!r}; expected one of {valid}")
+    variant = res.get("command", "variant", required=True, cast=EstimateVariant)
     params = res.flow_params()
     cfg = res.integrator_config()
-    count = int(res.get("command", "count", default=100))
-    seed = int(res.get("command", "seed", default=0))
-    tol = float(res.get("command", "tol", default=1e-8))
-    t_end = float(res.get("command", "t_end", default=50.0))
+    count = res.get("command", "count", default=100, cast=int)
+    seed = res.get("command", "seed", default=0, cast=int)
+    tol = res.get("command", "tol", default=1e-8, cast=float)
+    t_end = res.get("command", "t_end", default=50.0, cast=float)
     report = estimate_suite(variant, params, count, seed, cfg, tol, t_end)
     meta = _base_meta(res, "verify-estimate", params)
     meta["integrator"] = _cfg_meta(cfg)
@@ -521,36 +539,34 @@ def _cmd_verify_estimate(res: _Resolved) -> int:
             ),
         },
     }
-    out = res.get("output", "out")
+    out = res.get("output", "out", cast=str)
     write_report(payload, out, _pick_format(res, out))
     return 1 if report.worst_slack < -tol else 0
 
 
 def _cmd_deriv_check(res: _Resolved) -> int:
-    quantity = QuantityKind.from_token(
-        str(res.get("command", "quantity", required=True))
-    )
+    quantity = res.get("command", "quantity", required=True, cast=QuantityKind)
     params = res.flow_params()
     cfg = res.integrator_config()
-    trajectories = int(res.get("command", "trajectories", default=20))
-    seed = int(res.get("command", "seed", default=0))
-    h = float(res.get("command", "h", default=1e-4))
-    t_end = float(res.get("command", "t_end", default=0.01))
-    tol = float(res.get("command", "tol", default=1e-6))
+    trajectories = res.get("command", "trajectories", default=20, cast=int)
+    seed = res.get("command", "seed", default=0, cast=int)
+    h = res.get("command", "h", default=1e-4, cast=float)
+    t_end = res.get("command", "t_end", default=0.01, cast=float)
+    tol = res.get("command", "tol", default=1e-6, cast=float)
     report = deriv_suite(quantity, params, trajectories, seed, h, t_end, cfg)
     meta = _base_meta(res, "deriv-check", params)
     meta["integrator"] = _cfg_meta(cfg)
     meta["tol"] = tol
     payload = {"meta": meta, "report": report}
-    out = res.get("output", "out")
+    out = res.get("output", "out", cast=str)
     write_report(payload, out, _pick_format(res, out))
     return 1 if report.max_discrepancy > tol else 0
 
 
 def _cmd_plot(res: _Resolved) -> int:
-    src = res.get("command", "infile", required=True)
-    columns = res.get("command", "columns", default="R")
-    out = res.get("output", "out", required=True)
+    src = res.get("command", "infile", required=True, cast=str)
+    columns = res.get("command", "columns", default="R", cast=str)
+    out = res.get("output", "out", required=True, cast=str)
     try:
         lines = [
             ln for ln in Path(src).read_text().splitlines()
@@ -567,7 +583,7 @@ def _cmd_plot(res: _Resolved) -> int:
     for row in reader:
         for name, cell in zip(header, row):
             data[name].append(float(cell))
-    wanted = [c.strip() for c in str(columns).split(",") if c.strip()]
+    wanted = [c.strip() for c in columns.split(",") if c.strip()]
     missing = [c for c in wanted if c not in data]
     if missing or "t" not in data:
         raise _UsageError(

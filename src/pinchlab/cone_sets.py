@@ -66,14 +66,6 @@ class SetKind(enum.Enum):
     SECTIONAL_LOG_NONNEG_RICCI = "Y"
     TRACE_POSITIVE_RICCI_LOG = "W"
 
-    @classmethod
-    def from_token(cls, token: str) -> "SetKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise DomainError(f"unknown set token {token!r}; expected one of {valid}")
-
 
 @dataclass(frozen=True)
 class SetSpec:

@@ -23,12 +23,10 @@ from dataclasses import dataclass, field
 from .errors import BlowUpReached, DomainError
 
 __all__ = [
+    "RHO_MAX",
     "EigenTriple",
     "FlowParams",
-    "EigenDerivative",
-    "DerivedCurvatures",
-    "rhs",
-    "derived_curvatures",
+    "rhs_array",
     "isotropic_solution",
 ]
 
@@ -125,78 +123,19 @@ class FlowParams:
             )
 
 
-@dataclass(frozen=True)
-class EigenDerivative:
-    """Right-hand side values (dlam, dmu, dnu); not necessarily ordered."""
-
-    dlam: float
-    dmu: float
-    dnu: float
-
-    def as_tuple(self) -> tuple[float, float, float]:
-        return (self.dlam, self.dmu, self.dnu)
-
-    @property
-    def trace(self) -> float:
-        return self.dlam + self.dmu + self.dnu
-
-
-@dataclass(frozen=True)
-class DerivedCurvatures:
-    """Curvatures induced by an eigenvalue triple: Ricci eigenvalues
-    (descending), scalar curvature, and the operator trace."""
-
-    ricci_eigs: tuple[float, float, float]
-    scalar: float
-    trace: float
-
-
-def _rhs_f(
-    lam: float, mu: float, nu: float, rho: float
-) -> tuple[float, float, float]:
-    """Scalar reaction kernel.  The integrator writes these expressions
-    out inline at each stage; keep the two in step."""
-    t4 = 4.0 * rho * (lam + mu + nu)
-    return (
-        2.0 * lam * lam + 2.0 * mu * nu - t4 * lam,
-        2.0 * mu * mu + 2.0 * lam * nu - t4 * mu,
-        2.0 * nu * nu + 2.0 * lam * mu - t4 * nu,
-    )
-
-
-def rhs(state: EigenTriple, params: FlowParams) -> EigenDerivative:
-    """Reaction right-hand side at ``state``.
+def rhs_array(l, m, n, rho: float):
+    """Reaction right-hand side (dl, dm, dn) on aligned arrays or floats.
 
     Evaluated in one pass with no reordering; the system preserves the
     eigenvalue ordering on its own (differences of consecutive
     derivatives factor through differences of consecutive eigenvalues).
+    The integrator inlines this; keep in step.
     """
-    return EigenDerivative(*_rhs_f(state.lam, state.mu, state.nu, params.rho))
-
-
-def rhs_array(l, m, n, rho: float):
-    """Vectorised reaction kernel on aligned arrays; returns (dl, dm, dn)."""
     t4 = 4.0 * rho * (l + m + n)
     return (
         2.0 * l * l + 2.0 * m * n - t4 * l,
         2.0 * m * m + 2.0 * l * n - t4 * m,
         2.0 * n * n + 2.0 * l * m - t4 * n,
-    )
-
-
-def derived_curvatures(state: EigenTriple) -> DerivedCurvatures:
-    """Ricci eigenvalues, scalar curvature and trace of ``state``.
-
-    The Ricci eigenvalues are the pairwise sums; with ``lam >= mu >= nu``
-    they come out sorted descending with no extra work.  The scalar
-    curvature is exactly twice the trace.
-    """
-    lam, mu, nu = state.as_tuple()
-    trace = lam + mu + nu
-    return DerivedCurvatures(
-        ricci_eigs=(lam + mu, lam + nu, mu + nu),
-        scalar=2.0 * trace,
-        trace=trace,
     )
 
 

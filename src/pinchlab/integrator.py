@@ -434,7 +434,7 @@ def integrate(
     recs: list[EventRecord] = []
     ev_last = [g(t, *y0) for _, g in events]
 
-    # The reaction field of eigen_ode._rhs_f is written out at each stage,
+    # The reaction field of eigen_ode.rhs_array is written out at each stage,
     # with the same operand order, then projected: k = F(u) - g u with
     # the l-rate g = <u, F(u)>/|u|^2.
     rho4 = 4.0 * params.rho

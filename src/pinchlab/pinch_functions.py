@@ -9,19 +9,19 @@ Natural logarithms throughout.  The central objects:
   smallest Ricci eigenvalue.
 * ``lambda_pinch`` - the logarithmic pinching quantity
   -lam/(mu+nu) - log(-mu-nu)/(2(1-2 rho)), defined where mu+nu < 0.
-* ``j_polynomial`` - the degree-3 polynomial controlling the time
+* ``j_poly_array`` - the degree-3 polynomial controlling the time
   derivative of ``lambda_pinch`` along the reaction flow:
   d/dt lambda_pinch = 2 (mu+nu)^{-2} J.
-* ``i_polynomial`` - the degree-3 polynomial controlling the derivative
+* ``i_poly_array`` - the degree-3 polynomial controlling the derivative
   of ``xi_pinch`` for the nonnegative-rho cone (theta = 1, eta = -4).
 * ``xi_pinch`` - the time-dependent pinching quantity
   (lam+mu+nu)/(-nu) - theta log(-nu) - theta log(1 + 2(1+eta rho) t).
-* ``estimate_rhs`` - right-hand sides of the three lower bounds for the
+* ``estimate_rhs_array`` - right-hand sides of the three lower bounds for the
   scalar curvature in terms of its most negative eigenvalue direction.
 
-Scalar entry points take :class:`~pinchlab.eigen_ode.EigenTriple`; the
-``*_array`` kernels take aligned coordinate arrays and are what the
-verifier's grid scans call.
+The pinching quantities and their rates take one
+:class:`~pinchlab.eigen_ode.EigenTriple`; the ``*_array`` kernels take
+aligned coordinate arrays or plain floats, one kernel per formula.
 """
 
 from __future__ import annotations
@@ -42,11 +42,8 @@ __all__ = [
     "f_range_min",
     "lambda_pinch",
     "lambda_pinch_rate",
-    "j_polynomial",
-    "i_polynomial",
     "xi_pinch",
     "xi_pinch_rate",
-    "estimate_rhs",
     "estimate_rhs_array",
     "validate_variant_params",
     "j_poly_array",
@@ -197,16 +194,13 @@ def j_poly_array(l, m, n, rho: float):
     )
 
 
-def j_polynomial(state: EigenTriple, params: FlowParams) -> float:
-    return float(j_poly_array(state.lam, state.mu, state.nu, params.rho))
-
-
 def lambda_pinch_rate(state: EigenTriple, params: FlowParams) -> float:
     """Closed-form time derivative of ``lambda_pinch`` along the flow."""
     mn = state.mu + state.nu
     if mn >= 0:
         raise DomainError(f"lambda_pinch_rate needs mu+nu < 0, got {mn}")
-    return 2.0 * j_polynomial(state, params) / (mn * mn)
+    j = float(j_poly_array(state.lam, state.mu, state.nu, params.rho))
+    return 2.0 * j / (mn * mn)
 
 
 def i_poly_array(l, m, n, rho: float):
@@ -219,10 +213,6 @@ def i_poly_array(l, m, n, rho: float):
         + 4.0 * rho * n * n * (l + m)
         - 4.0 * rho * n * n * n
     )
-
-
-def i_polynomial(state: EigenTriple, params: FlowParams) -> float:
-    return float(i_poly_array(state.lam, state.mu, state.nu, params.rho))
 
 
 def _xi_time_factor(params: FlowParams, t: float) -> float:
@@ -315,19 +305,20 @@ def validate_variant_params(variant: EstimateVariant, params: FlowParams) -> Non
 
 
 def estimate_rhs_array(variant: EstimateVariant, smallest, params: FlowParams, t):
-    """Vectorized right-hand side of the lower bound ``variant``.
+    """Right-hand side of the scalar-curvature lower bound ``variant``.
 
     ``smallest`` holds the relevant most-negative curvature scalar per
     point (mu+nu for NEG_RHO_SCALAR, nu for the other two) and must be
-    negative everywhere; ``t`` broadcasts against it.
+    negative everywhere, since the bound is only asserted there; ``t``
+    broadcasts against it.  Both may be plain floats.
     """
     validate_variant_params(variant, params)
     smallest = np.asarray(smallest, dtype=float)
     t = np.asarray(t, dtype=float)
     if np.any(smallest >= 0):
-        raise DomainError("estimate_rhs needs negative scalars everywhere")
+        raise DomainError("estimate_rhs_array needs negative scalars everywhere")
     if np.any(t < 0):
-        raise DomainError("estimate_rhs needs t >= 0 everywhere")
+        raise DomainError("estimate_rhs_array needs t >= 0 everywhere")
     rho = params.rho
     a = -smallest
     if variant is EstimateVariant.NEG_RHO_SCALAR:
@@ -341,19 +332,3 @@ def estimate_rhs_array(variant: EstimateVariant, smallest, params: FlowParams, t
     tf = 1.0 + 2.0 * (1.0 - 4.0 * rho) * t
     return 2.0 * a * (np.log(a) + np.log(tf) - 3.0)
 
-
-def estimate_rhs(
-    variant: EstimateVariant, smallest: float, params: FlowParams, t: float
-) -> float:
-    """Right-hand side of the scalar-curvature lower bound ``variant``.
-
-    ``smallest`` is the relevant most-negative curvature scalar: the
-    smallest Ricci eigenvalue mu+nu for NEG_RHO_SCALAR, the smallest
-    eigenvalue nu for the other two.  Must be negative; the bound is only
-    asserted there.
-    """
-    if smallest >= 0:
-        raise DomainError(f"estimate_rhs needs a negative scalar, got {smallest}")
-    if t < 0:
-        raise DomainError(f"estimate_rhs needs t >= 0, got {t}")
-    return float(estimate_rhs_array(variant, smallest, params, t))

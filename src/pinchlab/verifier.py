@@ -25,20 +25,12 @@ only the scale-free transverse defect is informative.  Scan margins
 stay raw on the normalized slice; for unnormalized trace-bound inputs
 the violation cutoff is scaled by max(1, sup-norm)^3.
 
-Multi-sample checks run serially unless the PINCHLAB_THREADS environment
-variable asks for a thread pool of more than one worker.  The stepper is
-pure Python and holds the interpreter lock, so a pool does not run
-trajectories in parallel and measured slower than one worker on every
-criterion-06 set.  Merged results are order-independent, so the report
-never depends on the worker count or on thread scheduling.
 """
 
 from __future__ import annotations
 
 import enum
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -77,23 +69,15 @@ __all__ = [
     "estimate_suite",
     "derivative_consistency",
     "deriv_suite",
-    "thread_count",
 ]
 
 DEFAULT_SCAN_TOL = 1e-12
 
 
 def thread_count() -> int:
-    """Worker count for sharded checks: PINCHLAB_THREADS, or 1 when it
-    is unset or 0."""
-    raw = os.environ.get("PINCHLAB_THREADS", "0")
-    try:
-        n = int(raw)
-    except ValueError:
-        raise ValueError(f"PINCHLAB_THREADS must be an integer, got {raw!r}")
-    if n < 0:
-        raise ValueError(f"PINCHLAB_THREADS must be >= 0, got {n}")
-    return max(n, 1)
+    """Worker count of the checks, which run serially: always 1.  Kept
+    for the benchmark's environment record."""
+    return 1
 
 
 class InequalityKind(enum.Enum):
@@ -114,14 +98,6 @@ class InequalityKind(enum.Enum):
     I_POLY = "i-poly"
     XI_PRIME = "xi-prime"
     TRACE_BOUND = "trace-bound"
-
-    @classmethod
-    def from_token(cls, token: str) -> "InequalityKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise DomainError(f"unknown scan kind {token!r}; expected one of {valid}")
 
 
 @dataclass(frozen=True)
@@ -458,16 +434,9 @@ def check_invariance(
     eff_recheck = recheck or spec
     band = 100.0 * tol
     states = sample_set(spec, 0.0, samples, seed, band=band)
-
-    def work(i: int) -> tuple[float, int, dict, str]:
-        return _drift_one(states[i], spec, eff_recheck, horizon, cfg)
-
-    workers = thread_count()
-    if workers > 1 and samples > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(samples)))
-    else:
-        results = [work(i) for i in range(samples)]
+    results = [
+        _drift_one(state, spec, eff_recheck, horizon, cfg) for state in states
+    ]
 
     worst = math.inf
     worst_idx = -1
@@ -659,34 +628,25 @@ def estimate_suite(
     cfg = config or IntegratorConfig()
     states = _estimate_initial_states(variant, count, seed)
 
-    def work(i: int) -> tuple[EstimateReport, float | None, dict, str]:
-        traj = integrate(states[i], params, 0.0, t_end, cfg)
+    worst = math.inf
+    worst_idx = -1
+    coverage = math.inf
+    reports = []
+    lanes = []
+    for i, state in enumerate(states):
+        traj = integrate(state, params, 0.0, t_end, cfg)
         rep = check_estimate(traj, variant, params, tol, trajectory_id=str(i))
-        coverage = None
+        reports.append(rep)
+        lanes.append((traj.stats, traj.terminal.kind))
         if traj.terminal.kind == BLOWUP:
             t_last = traj.t_last
             trace_last = float(traj.states_array[-1].sum())
             remaining = 3.0 / (4.0 * (1.0 - 3.0 * params.rho) * trace_last)
-            coverage = t_last / (t_last + remaining)
-        return rep, coverage, traj.stats, traj.terminal.kind
-
-    workers = thread_count()
-    if workers > 1 and count > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(work, range(count)))
-    else:
-        results = [work(i) for i in range(count)]
-
-    worst = math.inf
-    worst_idx = -1
-    coverage = math.inf
-    for i, (rep, cov, _, _) in enumerate(results):
-        if cov is not None:
-            coverage = min(coverage, cov)
+            coverage = min(coverage, t_last / (t_last + remaining))
         if rep.worst_slack < worst:
             worst = rep.worst_slack
             worst_idx = i
-    work_done = _work_counters((stats, kind) for _, _, stats, kind in results)
+    work_done = _work_counters(lanes)
     blowups = work_done["terminal_kinds"].get(BLOWUP, 0)
     return EstimateSuiteReport(
         variant=variant,
@@ -699,7 +659,7 @@ def estimate_suite(
         blowups=blowups,
         min_coverage=coverage if blowups else 0.0,
         **work_done,
-        reports=tuple(r for r, _, _, _ in results),
+        reports=tuple(reports),
     )
 
 
@@ -712,14 +672,6 @@ class QuantityKind(enum.Enum):
 
     LAMBDA_PINCH = "lambda-pinch"
     XI_PINCH = "xi-pinch"
-
-    @classmethod
-    def from_token(cls, token: str) -> "QuantityKind":
-        for kind in cls:
-            if kind.value == token:
-                return kind
-        valid = ", ".join(k.value for k in cls)
-        raise DomainError(f"unknown quantity {token!r}; expected one of {valid}")
 
 
 @dataclass(frozen=True)

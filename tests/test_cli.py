@@ -10,7 +10,14 @@ import numpy as np
 import pytest
 
 import pinchlab
-from pinchlab import isotropic_solution, FlowParams
+from pinchlab import (
+    EstimateVariant,
+    FlowParams,
+    InequalityKind,
+    QuantityKind,
+    SetKind,
+    isotropic_solution,
+)
 from pinchlab.cli import CSV_HEADER, _build_parser, main, write_report
 
 
@@ -99,6 +106,34 @@ def test_scan_unknown_kind_is_usage_error(capsys):
 def test_scan_wrong_window_is_usage_error(capsys):
     assert run(["scan", "--kind", "i-poly", "--rho", "-0.5"]) == 2
     capsys.readouterr()
+
+
+def test_xi_prime_at_rho_zero_is_scan_window_error(capsys):
+    # the default theta = -1/(2 rho) exists only inside the scan window
+    assert run(["scan", "--kind", "xi-prime", "--rho", "0"]) == 2
+    assert "error: xi-prime scan needs eta > 0 and -1/eta < rho < 0" in (
+        capsys.readouterr().err
+    )
+
+
+UNKNOWN_TOKENS = {
+    "kind": (["scan", "--kind", "nope", "--rho", "-1"], InequalityKind),
+    "set": (["verify-set", "--set", "Z", "--rho", "-1"], SetKind),
+    "recheck-set": (
+        ["verify-set", "--set", "X", "--recheck-set", "Z", "--rho", "-1"], SetKind
+    ),
+    "variant": (["verify-estimate", "--variant", "nope", "--rho", "-1"], EstimateVariant),
+    "quantity": (["deriv-check", "--quantity", "nope", "--rho", "-1"], QuantityKind),
+}
+
+
+@pytest.mark.parametrize("option", list(UNKNOWN_TOKENS))
+def test_unknown_token_lists_valid_tokens(option, capsys):
+    args, tokens = UNKNOWN_TOKENS[option]
+    assert run(args) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: unknown --{option} ")
+    assert err.endswith(f"; expected one of {', '.join(t.value for t in tokens)}\n")
 
 
 def test_xi_prime_theta_defaults_to_half_inverse_rho(tmp_path):
@@ -211,6 +246,31 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"settings": {}}))
     assert run(["scan", "--config", cfg, "--kind", "j-neg-trace"]) == 2
     assert "settings" in capsys.readouterr().err
+
+
+WRONG_TYPES = {
+    "command.samples": ("verify-set", {"command": {"set": "X", "samples": [3]}}),
+    "command.scan_times": ("scan", {"command": {"kind": "xi-prime", "scan_times": 0.5}}),
+    "command.inject": (
+        "scan", {"command": {"kind": "trace-bound", "samples": 10, "inject": "false"}}
+    ),
+    "params.rho": ("scan", {"params": {"rho": [1]}, "command": {"kind": "i-poly"}}),
+    "integrator.max_steps": (
+        "simulate",
+        {"command": {"state": "1,0,-1", "t_end": 0.1}, "integrator": {"max_steps": "many"}},
+    ),
+}
+
+
+@pytest.mark.parametrize("key", list(WRONG_TYPES))
+def test_wrong_config_type_is_usage_error(tmp_path, capsys, key):
+    command, config = WRONG_TYPES[key]
+    cfg = tmp_path / "bad.json"
+    out = tmp_path / "never.out"
+    cfg.write_text(json.dumps({"params": {"rho": -0.5}, "output": {"out": str(out)}, **config}))
+    assert run([command, "--config", cfg]) == 2
+    assert capsys.readouterr().err.startswith(f"error: config value {key} must be")
+    assert not out.exists()
 
 
 # -------------------------------------------------------- output mechanics

@@ -32,13 +32,6 @@ SPEC_Y = SetSpec(
 ALL_SPECS = (SPEC_X, SPEC_W, SPEC_K, SPEC_Y)
 
 
-def test_from_token_round_trip():
-    for kind in SetKind:
-        assert SetKind.from_token(kind.value) is kind
-    with pytest.raises(DomainError):
-        SetKind.from_token("Z")
-
-
 def test_spec_validation():
     # the static and trace-positive families only make sense for rho < 0
     with pytest.raises(DomainError):

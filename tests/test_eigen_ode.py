@@ -1,6 +1,5 @@
 import math
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -11,9 +10,7 @@ from pinchlab import (
     DomainError,
     EigenTriple,
     FlowParams,
-    derived_curvatures,
     isotropic_solution,
-    rhs,
     rhs_array,
 )
 
@@ -67,26 +64,25 @@ def test_eta_factor():
 
 def test_rhs_hand_value_rho_zero():
     # 2*lam^2 + 2*mu*nu etc. at (3, -0.5, -0.8)
-    d = rhs(EigenTriple(3.0, -0.5, -0.8), FlowParams(rho=0.0))
-    assert d.dlam == pytest.approx(18.8)
-    assert d.dmu == pytest.approx(-4.3)
-    assert d.dnu == pytest.approx(-1.72)
+    dl, dm, dn = rhs_array(3.0, -0.5, -0.8, 0.0)
+    assert dl == pytest.approx(18.8)
+    assert dm == pytest.approx(-4.3)
+    assert dn == pytest.approx(-1.72)
 
 
 def test_rhs_hand_value_rho_negative():
     # same point with the -4*rho*x*T correction, rho = -1, T = 1.7
-    d = rhs(EigenTriple(3.0, -0.5, -0.8), FlowParams(rho=-1.0))
-    assert d.dlam == pytest.approx(18.8 + 4.0 * 3.0 * 1.7)
-    assert d.dmu == pytest.approx(-4.3 + 4.0 * (-0.5) * 1.7)
-    assert d.dnu == pytest.approx(-1.72 + 4.0 * (-0.8) * 1.7)
+    dl, dm, dn = rhs_array(3.0, -0.5, -0.8, -1.0)
+    assert dl == pytest.approx(18.8 + 4.0 * 3.0 * 1.7)
+    assert dm == pytest.approx(-4.3 + 4.0 * (-0.5) * 1.7)
+    assert dn == pytest.approx(-1.72 + 4.0 * (-0.8) * 1.7)
 
 
 @given(ordered_triples, rhos, st.floats(min_value=0.01, max_value=10))
 def test_rhs_is_homogeneous_degree_two(triple, rho, s):
-    p = FlowParams(rho=rho)
-    d1 = rhs(EigenTriple(*triple).scaled(s), p)
-    d0 = rhs(EigenTriple(*triple), p)
-    for a, b in zip((d1.dlam, d1.dmu, d1.dnu), (d0.dlam, d0.dmu, d0.dnu)):
+    d1 = rhs_array(*EigenTriple(*triple).scaled(s).as_tuple(), rho)
+    d0 = rhs_array(*triple, rho)
+    for a, b in zip(d1, d0):
         assert a == pytest.approx(s * s * b, rel=1e-9, abs=1e-9)
 
 
@@ -94,43 +90,20 @@ def test_rhs_is_homogeneous_degree_two(triple, rho, s):
 def test_trace_rate_dominates_isotropic_rate(triple, rho):
     # sum of the right-hand side is at least (4/3)(1-3 rho) T^2,
     # with equality exactly on the isotropic diagonal
-    p = FlowParams(rho=rho)
-    d = rhs(EigenTriple(*triple), p)
     trace = sum(triple)
     floor = (4.0 / 3.0) * (1.0 - 3.0 * rho) * trace * trace
-    slack = (d.dlam + d.dmu + d.dnu) - floor
+    slack = sum(rhs_array(*triple, rho)) - floor
     assert slack >= -1e-9 * max(1.0, trace * trace)
 
 
 def test_trace_rate_equality_iff_isotropic():
-    p = FlowParams(rho=-0.3)
-    d = rhs(EigenTriple(1.7, 1.7, 1.7), p)
+    rho = -0.3
     trace = 3 * 1.7
-    assert d.dlam + d.dmu + d.dnu == pytest.approx(
+    assert sum(rhs_array(1.7, 1.7, 1.7, rho)) == pytest.approx(
         (4.0 / 3.0) * (1.0 + 0.9) * trace * trace
     )
-    d2 = rhs(EigenTriple(2.0, 1.7, 1.4), p)
-    assert d2.dlam + d2.dmu + d2.dnu > (4.0 / 3.0) * (1.0 + 0.9) * (5.1) ** 2 + 1e-6
-
-
-def test_rhs_array_matches_scalar():
-    rng = np.random.default_rng(0)
-    pts = np.sort(rng.uniform(-3, 3, size=(40, 3)), axis=1)[:, ::-1]
-    p = FlowParams(rho=-0.7)
-    dl, dm, dn = rhs_array(pts[:, 0], pts[:, 1], pts[:, 2], p.rho)
-    for i, row in enumerate(pts):
-        d = rhs(EigenTriple(*row), p)
-        assert dl[i] == pytest.approx(d.dlam, rel=1e-14, abs=1e-14)
-        assert dm[i] == pytest.approx(d.dmu, rel=1e-14, abs=1e-14)
-        assert dn[i] == pytest.approx(d.dnu, rel=1e-14, abs=1e-14)
-
-
-def test_derived_curvatures():
-    c = derived_curvatures(EigenTriple(3.0, -0.5, -0.8))
-    assert c.scalar == pytest.approx(2 * 1.7)
-    # Ricci eigenvalues are the pair sums, smallest is mu + nu
-    assert sorted(c.ricci_eigs) == pytest.approx([-1.3, 2.2, 2.5])
-    assert min(c.ricci_eigs) == pytest.approx(-1.3)
+    d2 = rhs_array(2.0, 1.7, 1.4, rho)
+    assert sum(d2) > (4.0 / 3.0) * (1.0 + 0.9) * (5.1) ** 2 + 1e-6
 
 
 def test_isotropic_solution_hand_values():

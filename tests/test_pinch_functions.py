@@ -11,21 +11,23 @@ from pinchlab import (
     EigenTriple,
     EstimateVariant,
     FlowParams,
-    estimate_rhs,
     estimate_rhs_array,
     f_domain_min,
     f_inverse,
     f_pinch,
     f_range_min,
-    i_polynomial,
-    j_polynomial,
     lambda_pinch,
     lambda_pinch_rate,
     xi_pinch,
     xi_pinch_rate,
 )
-from pinchlab.eigen_ode import _rhs_f
-from pinchlab.pinch_functions import validate_variant_params, xi_prime_numerator_array
+from pinchlab.eigen_ode import rhs_array
+from pinchlab.pinch_functions import (
+    i_poly_array,
+    j_poly_array,
+    validate_variant_params,
+    xi_prime_numerator_array,
+)
 
 P_NEG = FlowParams(rho=-1.0)
 
@@ -181,7 +183,7 @@ def _lambda_rate_oracle(l, m, n, rho):
     c = 2.0 * (1.0 - 2.0 * rho)
     dl = -1.0 / (m + n)
     dmn = l / (m + n) ** 2 - 1.0 / (c * (m + n))
-    fl, fm, fn = _rhs_f(l, m, n, rho)
+    fl, fm, fn = rhs_array(l, m, n, rho)
     return dl * fl + dmn * fm + dmn * fn
 
 
@@ -202,36 +204,32 @@ def test_lambda_rate_matches_chain_rule(triple, rho):
 
 def test_j_polynomial_frozen_values():
     # frozen from the chain-rule oracle above via J = rate (mu+nu)^2 / 2
-    assert j_polynomial(EigenTriple(1.0, -1.0, -1.0), P_NEG) == pytest.approx(16.0 / 3.0)
-    assert j_polynomial(EigenTriple(2.0, -1.0, -1.5), P_NEG) == pytest.approx(10.5625)
+    assert j_poly_array(1.0, -1.0, -1.0, -1.0) == pytest.approx(16.0 / 3.0)
+    assert j_poly_array(2.0, -1.0, -1.5, -1.0) == pytest.approx(10.5625)
 
 
 @given(negative_ricci_triples, st.floats(min_value=-5, max_value=0.2))
 def test_j_polynomial_is_half_rate_times_ricci_squared(triple, rho):
-    p = FlowParams(rho=rho)
     ric = triple[1] + triple[2]
     want = _lambda_rate_oracle(*triple, rho) * ric * ric / 2.0
-    assert j_polynomial(EigenTriple(*triple), p) == pytest.approx(
-        want, rel=1e-9, abs=1e-9
-    )
+    assert j_poly_array(*triple, rho) == pytest.approx(want, rel=1e-9, abs=1e-9)
 
 
 # ----------------------------------------------------------- I polynomial
 
 
 def test_i_polynomial_frozen_values():
-    assert i_polynomial(EigenTriple(1.0, 0.5, -1.0), FlowParams(rho=0.0)) == pytest.approx(5.0)
-    assert i_polynomial(EigenTriple(1.0, 0.5, -1.0), FlowParams(rho=0.2)) == pytest.approx(7.0)
-    assert i_polynomial(EigenTriple(2.0, -0.5, -1.0), FlowParams(rho=0.0)) == pytest.approx(3.5)
+    assert i_poly_array(1.0, 0.5, -1.0, 0.0) == pytest.approx(5.0)
+    assert i_poly_array(1.0, 0.5, -1.0, 0.2) == pytest.approx(7.0)
+    assert i_poly_array(2.0, -0.5, -1.0, 0.0) == pytest.approx(3.5)
 
 
 def test_cubics_are_homogeneous_degree_three():
-    p = FlowParams(rho=0.1)
-    a = i_polynomial(EigenTriple(1.5, 0.2, -0.7), p)
-    b = i_polynomial(EigenTriple(3.0, 0.4, -1.4), p)
+    a = i_poly_array(1.5, 0.2, -0.7, 0.1)
+    b = i_poly_array(3.0, 0.4, -1.4, 0.1)
     assert b == pytest.approx(8.0 * a)
-    c = j_polynomial(EigenTriple(2.0, -1.0, -1.5), P_NEG)
-    d = j_polynomial(EigenTriple(6.0, -3.0, -4.5), P_NEG)
+    c = j_poly_array(2.0, -1.0, -1.5, -1.0)
+    d = j_poly_array(6.0, -3.0, -4.5, -1.0)
     assert d == pytest.approx(27.0 * c)
 
 
@@ -249,7 +247,7 @@ def test_xi_hand_value():
 
 def _xi_rate_oracle(l, m, n, params, t):
     th, ef = params.theta, params.eta_factor
-    fl, fm, fn = _rhs_f(l, m, n, params.rho)
+    fl, fm, fn = rhs_array(l, m, n, params.rho)
     trace, dtrace = l + m + n, fl + fm + fn
     return dtrace / -n + trace * fn / n**2 - th * fn / n - 2.0 * th * ef / (1.0 + 2.0 * ef * t)
 
@@ -297,19 +295,17 @@ def test_xi_numerator_homogeneous_degree_three_at_t0(triple, s):
 
 def test_estimate_rhs_hand_values():
     # all three variants at a = 1, t = 0
-    assert estimate_rhs(EstimateVariant.NEG_RHO_SCALAR, -1.0, P_NEG, 0.0) == pytest.approx(-2.0)
-    assert estimate_rhs(
+    rhs = estimate_rhs_array
+    assert rhs(EstimateVariant.NEG_RHO_SCALAR, -1.0, P_NEG, 0.0) == pytest.approx(-2.0)
+    assert rhs(
         EstimateVariant.NONNEG_RHO, -1.0, FlowParams(rho=0.0), 0.0
     ) == pytest.approx(-6.0)
-    assert estimate_rhs(EstimateVariant.NEG_RHO_SECTIONAL, -1.0, P_XI, 0.0) == pytest.approx(-6.0)
-
-
-def test_estimate_rhs_array_matches_scalar():
-    smallest = np.array([-0.5, -1.0, -2.0, -10.0])
-    ts = np.array([0.0, 0.1, 1.0, 3.0])
-    vec = estimate_rhs_array(EstimateVariant.NEG_RHO_SCALAR, smallest, P_NEG, ts)
-    for s, t, v in zip(smallest, ts, vec):
-        assert estimate_rhs(EstimateVariant.NEG_RHO_SCALAR, float(s), P_NEG, float(t)) == v
+    assert rhs(EstimateVariant.NEG_RHO_SECTIONAL, -1.0, P_XI, 0.0) == pytest.approx(-6.0)
+    # the bound is asserted only at negative scalars and nonnegative times
+    with pytest.raises(DomainError):
+        rhs(EstimateVariant.NEG_RHO_SCALAR, 0.0, P_NEG, 0.0)
+    with pytest.raises(DomainError):
+        rhs(EstimateVariant.NEG_RHO_SCALAR, -1.0, P_NEG, -0.1)
 
 
 def test_estimate_rhs_superlinear_for_deep_negatives():
