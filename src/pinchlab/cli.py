@@ -3,9 +3,11 @@
 Subcommands: ``simulate``, ``scan``, ``verify-set``, ``verify-estimate``,
 ``deriv-check``, ``plot``.  Options come from flags, or from a JSON
 config file (``--config``) with top-level sections ``params``,
-``integrator``, ``command``, ``output`` — unknown keys anywhere in the
-file are errors, and explicit flags always override file values.  The
-fully resolved configuration is echoed into every output.
+``integrator``, ``command``, ``output``; explicit flags always override
+file values.  Each option is declared once, as an ``_Opt`` giving its
+flag, config key, type and default.  Unknown keys anywhere in the file
+are errors; ``command`` keys are checked per subcommand.  The fully
+resolved configuration is echoed into every output.
 
 Exit codes: 0 success, 1 verification failure (violations or negative
 slack beyond tolerance on a claimed check), 2 usage/config errors.
@@ -22,21 +24,22 @@ from __future__ import annotations
 
 import argparse
 import csv
-import datetime
 import functools
 import json
 import math
 import sys
-from dataclasses import fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass
+from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
+from typing import Callable, NamedTuple, get_type_hints
 
 import numpy as np
 
 from . import __version__
 from .cone_sets import SetKind, SetSpec, margin_array
 from .eigen_ode import EigenTriple, FlowParams
-from .errors import DomainError, EmptyRegion, HypothesisViolated, SamplingExhausted
+from .errors import DomainError, SamplingExhausted
 from .integrator import IntegratorConfig, Trajectory, integrate, standard_trigger_events
 from .pinch_functions import EstimateVariant
 from .verifier import (
@@ -51,15 +54,18 @@ from .verifier import (
 __all__ = ["main", "export_trajectory", "write_report", "render_svg"]
 
 CSV_HEADER = "t,lambda,mu,nu,R,ric_min,margin_X,margin_W,margin_K"
+_PRNG = "numpy PCG64, per-sample SeedSequence(seed).spawn(i)"
 
-_CONFIG_SECTIONS = {"params", "integrator", "command", "output"}
-_PARAM_KEYS = {"rho", "eta", "theta"}
-_INTEGRATOR_KEYS = {"rel_tol", "abs_tol", "max_step", "blowup_norm", "max_steps"}
-_OUTPUT_KEYS = {"out", "format", "stamp", "points"}
+# in the order the config check and option resolution report errors
+_CONFIG_SECTIONS = ("params", "integrator", "command", "output")
 
 
 class _UsageError(Exception):
     pass
+
+
+def _tokens(kind: type[Enum]) -> str:
+    return ", ".join(m.value for m in kind)
 
 
 def _cast(section: str, key: str, value, cast):
@@ -71,10 +77,9 @@ def _cast(section: str, key: str, value, cast):
         try:
             return cast(value)
         except ValueError:
-            valid = ", ".join(m.value for m in cast)
             raise _UsageError(
                 f"unknown --{key.replace('_', '-')} {value!r}; "
-                f"expected one of {valid}"
+                f"expected one of {_tokens(cast)}"
             ) from None
     if cast is list and isinstance(value, list):
         return tuple(_cast(section, key, v, float) for v in value)
@@ -88,86 +93,6 @@ def _cast(section: str, key: str, value, cast):
     raise _UsageError(
         f"config value {section}.{key} must be {cast.__name__}, got {value!r}"
     )
-
-
-def _load_config(path: str | None) -> dict:
-    if path is None:
-        return {}
-    try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise _UsageError(f"cannot read config {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise _UsageError(f"config {path} is not valid JSON: {exc}")
-    if not isinstance(raw, dict):
-        raise _UsageError(f"config {path} must be a JSON object")
-    unknown = set(raw) - _CONFIG_SECTIONS
-    if unknown:
-        raise _UsageError(
-            f"unknown config keys {sorted(unknown)}; "
-            f"allowed: {sorted(_CONFIG_SECTIONS)}"
-        )
-    for section, allowed in (
-        ("params", _PARAM_KEYS),
-        ("integrator", _INTEGRATOR_KEYS),
-        ("output", _OUTPUT_KEYS),
-    ):
-        entries = raw.get(section, {})
-        if not isinstance(entries, dict):
-            raise _UsageError(f"config section {section!r} must be an object")
-        bad = set(entries) - allowed
-        if bad:
-            raise _UsageError(
-                f"unknown keys {sorted(bad)} in config section {section!r}; "
-                f"allowed: {sorted(allowed)}"
-            )
-    if not isinstance(raw.get("command", {}), dict):
-        raise _UsageError("config section 'command' must be an object")
-    return raw
-
-
-class _Resolved:
-    """Flag-over-file-over-default option resolution, with provenance
-    kept simple: every resolved value is echoed into output metadata."""
-
-    def __init__(self, args: argparse.Namespace, config: dict):
-        self.args = args
-        self.config = config
-
-    def get(
-        self, section: str, key: str, default=None, required: bool = False,
-        cast=None,
-    ):
-        v = getattr(self.args, key, None)
-        if v is None:
-            v = self.config.get(section, {}).get(key)
-        if v is None:
-            v = default
-        if v is None and required:
-            raise _UsageError(f"missing required option --{key.replace('_', '-')}")
-        return v if v is None or cast is None else _cast(section, key, v, cast)
-
-    def flow_params(self, default_theta: float | None = None) -> FlowParams:
-        rho = self.get("params", "rho", required=True, cast=float)
-        eta = self.get("params", "eta", default=-4.0, cast=float)
-        theta = self.get("params", "theta", cast=float)
-        if theta is None:
-            theta = 1.0 if default_theta is None else default_theta
-        try:
-            return FlowParams(rho=rho, eta=eta, theta=theta)
-        except DomainError as exc:
-            raise _UsageError(str(exc))
-
-    def integrator_config(self) -> IntegratorConfig:
-        kw = {}
-        for key in _INTEGRATOR_KEYS:
-            v = self.get("integrator", key, cast=int if key == "max_steps" else float)
-            if v is not None:
-                kw[key] = v
-        try:
-            return IntegratorConfig(**kw)
-        except ValueError as exc:
-            raise _UsageError(str(exc))
 
 
 def _jsonify(obj):
@@ -202,14 +127,22 @@ def _jsonify(obj):
     return obj
 
 
-def _flatten(prefix: str, value, lines: list[str]) -> None:
+def _flatten(prefix: str, value):
+    """Sorted ``dotted.key = value`` lines of a jsonified value."""
     if isinstance(value, dict):
         for k in sorted(value):
-            _flatten(f"{prefix}.{k}" if prefix else str(k), value[k], lines)
+            yield from _flatten(f"{prefix}.{k}" if prefix else str(k), value[k])
     elif isinstance(value, list):
-        lines.append(f"{prefix} = {json.dumps(value)}")
+        yield f"{prefix} = {json.dumps(value)}"
     else:
-        lines.append(f"{prefix} = {value}")
+        yield f"{prefix} = {value}"
+
+
+def _write_file(path: str, text: str) -> None:
+    try:
+        Path(path).write_text(text)
+    except OSError as exc:
+        raise _UsageError(f"cannot write {path}: {exc}")
 
 
 def write_report(payload: dict, out: str | None, fmt: str) -> None:
@@ -223,23 +156,11 @@ def write_report(payload: dict, out: str | None, fmt: str) -> None:
     if fmt == "json":
         text = json.dumps(safe, sort_keys=True, indent=2) + "\n"
     else:
-        lines: list[str] = []
-        _flatten("", safe, lines)
-        text = "\n".join(lines) + "\n"
+        text = "\n".join(_flatten("", safe)) + "\n"
     if out is None:
         sys.stdout.write(text)
     else:
-        try:
-            Path(out).write_text(text)
-        except OSError as exc:
-            raise _UsageError(f"cannot write {out}: {exc}")
-
-
-def _meta_block(meta: dict) -> str:
-    safe = _jsonify(meta)
-    lines: list[str] = []
-    _flatten("", safe, lines)
-    return "".join(f"# {line}\n" for line in lines)
+        _write_file(out, text)
 
 
 def export_trajectory(
@@ -267,12 +188,7 @@ def export_trajectory(
         spec_k = SetSpec(SetKind.SECTIONAL_LOG, params)
     rows: list[str] = []
     if traj is not None:
-        full["terminal"] = {
-            "kind": traj.terminal.kind,
-            "t_est": traj.terminal.t_est,
-            "norm_exceeded": traj.terminal.norm_exceeded,
-            "step_collapse": traj.terminal.step_collapse,
-        }
+        full["terminal"] = traj.terminal
         full["events"] = [
             {"name": e.name, "t": e.time, "direction": e.direction}
             for e in traj.events
@@ -289,11 +205,8 @@ def export_trajectory(
             [ts, lam, mu, nu, 2.0 * trace, mu + nu, m_x, m_w, m_k]
         ).tolist()
         rows = [",".join(map("{:.17g}".format, row)) for row in table]
-    body = _meta_block(full) + CSV_HEADER + "\n" + "".join(r + "\n" for r in rows)
-    try:
-        Path(path).write_text(body)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {path}: {exc}")
+    meta_block = "".join(f"# {line}\n" for line in _flatten("", _jsonify(full)))
+    _write_file(path, meta_block + CSV_HEADER + "\n" + "".join(r + "\n" for r in rows))
 
 
 # ----------------------------------------------------------------------
@@ -335,34 +248,28 @@ def render_svg(
     ]
     for i in range(5):
         yv = ymin + i * (ymax - ymin) / 4
-        py = sy(yv)
-        parts.append(
-            f'<line x1="{lpad}" y1="{py:.6g}" x2="{width - rpad}" '
-            f'y2="{py:.6g}" stroke="#ddd"/>'
-        )
-        parts.append(
-            f'<text x="{lpad - 6}" y="{py + 4:.6g}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{yv:.4g}</text>'
-        )
         xv = xmin + i * (xmax - xmin) / 4
-        px = sx(xv)
-        parts.append(
+        py, px = sy(yv), sx(xv)
+        parts += [
+            f'<line x1="{lpad}" y1="{py:.6g}" x2="{width - rpad}" '
+            f'y2="{py:.6g}" stroke="#ddd"/>',
+            f'<text x="{lpad - 6}" y="{py + 4:.6g}" font-family="sans-serif" '
+            f'font-size="11" text-anchor="end">{yv:.4g}</text>',
             f'<text x="{px:.6g}" y="{height - bpad + 16}" '
             f'font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{xv:.4g}</text>'
-        )
-    parts.append(
+            f'text-anchor="middle">{xv:.4g}</text>',
+        ]
+    parts += [
         f'<line x1="{lpad}" y1="{height - bpad}" x2="{width - rpad}" '
-        f'y2="{height - bpad}" stroke="#333"/>'
-    )
-    parts.append(
+        f'y2="{height - bpad}" stroke="#333"/>',
         f'<line x1="{lpad}" y1="{tpad}" x2="{lpad}" '
-        f'y2="{height - bpad}" stroke="#333"/>'
-    )
+        f'y2="{height - bpad}" stroke="#333"/>',
+    ]
     for i, (name, ys) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
         segment: list[str] = []
-        for x, y in zip(xs, ys):
+        # one polyline per run of finite points; the NaN closes the last run
+        for x, y in [*zip(xs, ys), (math.nan, math.nan)]:
             if math.isfinite(x) and math.isfinite(y):
                 segment.append(f"{sx(x):.6g},{sy(y):.6g}")
             elif segment:
@@ -371,21 +278,14 @@ def render_svg(
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
                 segment = []
-        if segment:
-            parts.append(
-                f'<polyline points="{" ".join(segment)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
         ly = tpad + 16 * i
-        parts.append(
+        parts += [
             f'<line x1="{width - rpad - 120}" y1="{ly}" '
             f'x2="{width - rpad - 96}" y2="{ly}" stroke="{color}" '
-            f'stroke-width="2"/>'
-        )
-        parts.append(
+            f'stroke-width="2"/>',
             f'<text x="{width - rpad - 90}" y="{ly + 4}" '
-            f'font-family="sans-serif" font-size="11">{name}</text>'
-        )
+            f'font-family="sans-serif" font-size="11">{name}</text>',
+        ]
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
@@ -394,44 +294,38 @@ def render_svg(
 # subcommands
 
 
-def _base_meta(res: _Resolved, command: str, params: FlowParams | None) -> dict:
-    meta: dict = {"command": command, "version": __version__}
-    if params is not None:
-        meta["params"] = {
-            "rho": params.rho, "eta": params.eta, "theta": params.theta,
-        }
-    if res.get("output", "stamp", default=False, cast=bool):
-        meta["generated_at"] = datetime.datetime.now(
-            datetime.timezone.utc
-        ).isoformat()
+def _base_meta(opts: dict, command: str, params: FlowParams,
+               cfg: IntegratorConfig | None = None) -> dict:
+    meta = {"command": command, "version": __version__, "params": asdict(params)}
+    if cfg is not None:
+        meta["integrator"] = asdict(cfg)
+    if opts["output"]["stamp"]:
+        meta["generated_at"] = datetime.now(timezone.utc).isoformat()
     return meta
 
 
-def _cfg_meta(cfg: IntegratorConfig) -> dict:
-    return {
-        "rel_tol": cfg.rel_tol,
-        "abs_tol": cfg.abs_tol,
-        "max_step": cfg.max_step,
-        "blowup_norm": cfg.blowup_norm,
-        "max_steps": cfg.max_steps,
-    }
+def _write(opts: dict, meta: dict, report) -> None:
+    """Write a report where ``--out`` says, in the ``--format`` given or
+    else the one the file name implies."""
+    out, fmt = opts["output"].get("out"), opts["output"].get("format")
+    if fmt is None:
+        fmt = "json" if out is not None and out.endswith(".json") else "text"
+    elif fmt not in ("json", "text"):
+        raise _UsageError(f"--format must be json or text, got {fmt!r}")
+    write_report({"meta": meta, "report": report}, out, fmt)
 
 
-def _cmd_simulate(res: _Resolved) -> int:
-    params = res.flow_params()
-    cfg = res.integrator_config()
-    state_raw = res.get("command", "state", required=True, cast=str)
+def _cmd_simulate(opts: dict) -> int:
+    params = FlowParams(**opts["params"])
+    cfg = IntegratorConfig(**opts["integrator"])
+    cmd, out, points = opts["command"], opts["output"]["out"], opts["output"]["points"]
     try:
-        l, m, n = (float(x) for x in state_raw.split(","))
+        l, m, n = (float(x) for x in cmd["state"].split(","))
         state = EigenTriple(l, m, n)
     except (ValueError, DomainError) as exc:
-        raise _UsageError(f"bad --state {state_raw!r}: {exc}")
-    t0 = res.get("command", "t0", default=0.0, cast=float)
-    t_end = res.get("command", "t_end", required=True, cast=float)
-    points = res.get("output", "points", default=201, cast=int)
-    out = res.get("output", "out", required=True, cast=str)
-    meta = _base_meta(res, "simulate", params)
-    meta["integrator"] = _cfg_meta(cfg)
+        raise _UsageError(f"bad --state {cmd['state']!r}: {exc}")
+    t0, t_end = cmd["t0"], cmd["t_end"]
+    meta = _base_meta(opts, "simulate", params, cfg)
     meta["state0"] = state.as_tuple()
     meta["t0"], meta["t_end"], meta["points"] = t0, t_end, points
     if t_end == t0:
@@ -446,188 +340,264 @@ def _cmd_simulate(res: _Resolved) -> int:
     return 0
 
 
-def _cmd_scan(res: _Resolved) -> int:
-    kind = res.get("command", "kind", required=True, cast=InequalityKind)
-    default_theta = None
-    if kind is InequalityKind.XI_PRIME:
-        rho = res.get("params", "rho", required=True, cast=float)
-        if rho < 0:  # outside the scan window the window check reports
-            default_theta = -1.0 / (2.0 * rho)
-    params = res.flow_params(default_theta=default_theta)
-    report = scan_inequality(
-        kind,
-        params,
-        resolution=res.get("command", "resolution", default=200, cast=int),
-        tol=res.get("command", "tol", default=1e-12, cast=float),
-        scan_times=res.get("command", "scan_times", cast=list) or (0.0,),
-        samples=res.get("command", "samples", cast=int),
-        seed=res.get("command", "seed", default=0, cast=int),
-        inject_isotropic=res.get("command", "inject", default=True, cast=bool),
-    )
-    payload = {
-        "meta": _base_meta(res, "scan", params),
-        "report": report,
-    }
-    out = res.get("output", "out", cast=str)
-    fmt = _pick_format(res, out)
-    write_report(payload, out, fmt)
+def _cmd_scan(opts: dict) -> int:
+    cmd, given = opts["command"], opts["params"]
+    if cmd["kind"] is InequalityKind.XI_PRIME and "theta" not in given:
+        if given["rho"] < 0:  # outside the scan window the window check reports
+            given["theta"] = -1.0 / (2.0 * given["rho"])
+    params = FlowParams(**given)
+    if "inject" in cmd:
+        cmd["inject_isotropic"] = cmd.pop("inject")
+    report = scan_inequality(params=params, **cmd)
+    _write(opts, _base_meta(opts, "scan", params), report)
     return 1 if report.violations > 0 else 0
 
 
-def _cmd_verify_set(res: _Resolved) -> int:
-    kind = res.get("command", "set", required=True, cast=SetKind)
-    params = res.flow_params()
-    try:
-        spec = SetSpec(kind, params)
-    except DomainError as exc:
-        raise _UsageError(str(exc))
-    recheck = None
-    recheck_kind = res.get("command", "recheck_set", cast=SetKind)
-    if recheck_kind is not None:
-        recheck = SetSpec(recheck_kind, params)
-    cfg = res.integrator_config()
-    samples = res.get("command", "samples", default=1000, cast=int)
-    horizon = res.get("command", "horizon", default=0.05, cast=float)
-    seed = res.get("command", "seed", default=42, cast=int)
-    tol = res.get("command", "tol", default=1e-8, cast=float)
-    report = check_invariance(
-        spec, samples, horizon, seed, cfg, tol, recheck=recheck
-    )
-    meta = _base_meta(res, "verify-set", params)
-    meta["integrator"] = _cfg_meta(cfg)
-    meta["prng"] = "numpy PCG64, per-sample SeedSequence(seed).spawn(i)"
+def _cmd_verify_set(opts: dict) -> int:
+    params = FlowParams(**opts["params"])
+    cmd = opts["command"]
+    spec = SetSpec(cmd.pop("set"), params)
+    recheck = cmd.pop("recheck_set", None)
+    if recheck is not None:
+        recheck = SetSpec(recheck, params)
+    cfg = IntegratorConfig(**opts["integrator"])
+    report = check_invariance(spec, config=cfg, recheck=recheck, **cmd)
+    meta = _base_meta(opts, "verify-set", params, cfg)
+    meta["prng"] = _PRNG
     meta["drift_normalization"] = "margin / (1 + |trace|)"
-    payload = {"meta": meta, "report": report}
-    out = res.get("output", "out", cast=str)
-    write_report(payload, out, _pick_format(res, out))
-    failed = report.claimed and report.worst_drift < -tol
-    return 1 if failed else 0
+    _write(opts, meta, report)
+    return 1 if report.claimed and report.worst_drift < -report.tol else 0
 
 
-def _cmd_verify_estimate(res: _Resolved) -> int:
-    variant = res.get("command", "variant", required=True, cast=EstimateVariant)
-    params = res.flow_params()
-    cfg = res.integrator_config()
-    count = res.get("command", "count", default=100, cast=int)
-    seed = res.get("command", "seed", default=0, cast=int)
-    tol = res.get("command", "tol", default=1e-8, cast=float)
-    t_end = res.get("command", "t_end", default=50.0, cast=float)
-    report = estimate_suite(variant, params, count, seed, cfg, tol, t_end)
-    meta = _base_meta(res, "verify-estimate", params)
-    meta["integrator"] = _cfg_meta(cfg)
-    meta["prng"] = "numpy PCG64, per-sample SeedSequence(seed).spawn(i)"
-    payload = {
-        "meta": meta,
-        "report": {
-            "variant": report.variant,
-            "params": report.params,
-            "count": report.count,
-            "seed": report.seed,
-            "tol": report.tol,
-            "worst_slack": report.worst_slack,
-            "violating_seed": report.violating_seed,
-            "blowups": report.blowups,
-            "min_coverage": report.min_coverage,
-            "steps_accepted": report.steps_accepted,
-            "steps_rejected": report.steps_rejected,
-            "rhs_evals": report.rhs_evals,
-            "terminal_kinds": report.terminal_kinds,
-            "trigger_times_worst": (
-                report.reports[report.violating_seed].trigger_times
-                if report.violating_seed is not None
-                else None
-            ),
-        },
-    }
-    out = res.get("output", "out", cast=str)
-    write_report(payload, out, _pick_format(res, out))
-    return 1 if report.worst_slack < -tol else 0
+def _cmd_verify_estimate(opts: dict) -> int:
+    params = FlowParams(**opts["params"])
+    cfg = IntegratorConfig(**opts["integrator"])
+    report = estimate_suite(params=params, config=cfg, **opts["command"])
+    meta = _base_meta(opts, "verify-estimate", params, cfg)
+    meta["prng"] = _PRNG
+    worst = report.violating_seed
+    worst_times = None if worst is None else report.reports[worst].trigger_times
+    _write(opts, meta, {**_jsonify(report), "trigger_times_worst": worst_times})
+    return 1 if report.worst_slack < -report.tol else 0
 
 
-def _cmd_deriv_check(res: _Resolved) -> int:
-    quantity = res.get("command", "quantity", required=True, cast=QuantityKind)
-    params = res.flow_params()
-    cfg = res.integrator_config()
-    trajectories = res.get("command", "trajectories", default=20, cast=int)
-    seed = res.get("command", "seed", default=0, cast=int)
-    h = res.get("command", "h", default=1e-4, cast=float)
-    t_end = res.get("command", "t_end", default=0.01, cast=float)
-    tol = res.get("command", "tol", default=1e-6, cast=float)
-    report = deriv_suite(quantity, params, trajectories, seed, h, t_end, cfg)
-    meta = _base_meta(res, "deriv-check", params)
-    meta["integrator"] = _cfg_meta(cfg)
+def _cmd_deriv_check(opts: dict) -> int:
+    params = FlowParams(**opts["params"])
+    cfg = IntegratorConfig(**opts["integrator"])
+    cmd = opts["command"]
+    tol = cmd.pop("tol")  # the verdict's, not deriv_suite's
+    report = deriv_suite(params=params, config=cfg, **cmd)
+    meta = _base_meta(opts, "deriv-check", params, cfg)
     meta["tol"] = tol
-    payload = {"meta": meta, "report": report}
-    out = res.get("output", "out", cast=str)
-    write_report(payload, out, _pick_format(res, out))
+    _write(opts, meta, report)
     return 1 if report.max_discrepancy > tol else 0
 
 
-def _cmd_plot(res: _Resolved) -> int:
-    src = res.get("command", "infile", required=True, cast=str)
-    columns = res.get("command", "columns", default="R", cast=str)
-    out = res.get("output", "out", required=True, cast=str)
+def _cmd_plot(opts: dict) -> int:
+    src, columns = opts["command"]["infile"], opts["command"]["columns"]
     try:
-        lines = [
-            ln for ln in Path(src).read_text().splitlines()
-            if ln and not ln.startswith("#")
-        ]
+        text = Path(src).read_text()
     except OSError as exc:
         raise _UsageError(f"cannot read {src}: {exc}")
-    reader = csv.reader(lines)
-    try:
-        header = next(reader)
-    except StopIteration:
+    rows = [
+        (number, next(csv.reader([ln])))
+        for number, ln in enumerate(text.splitlines(), 1)
+        if ln and not ln.startswith("#")
+    ]
+    if not rows:
         raise _UsageError(f"{src} has no header row")
-    data = {name: [] for name in header}
-    for row in reader:
-        for name, cell in zip(header, row):
-            data[name].append(float(cell))
+    (_, header), *body = rows
+    for number, row in body:
+        if len(row) != len(header):
+            raise _UsageError(
+                f"{src} line {number} has {len(row)} cells, its header {len(header)}"
+            )
+    table = np.array([row for _, row in body], dtype=float)
+    data = dict(zip(header, table.reshape(len(body), len(header)).T))
     wanted = [c.strip() for c in columns.split(",") if c.strip()]
     missing = [c for c in wanted if c not in data]
     if missing or "t" not in data:
         raise _UsageError(
             f"columns {missing or ['t']} not in {src} (has: {header})"
         )
-    xs = np.asarray(data["t"])
-    series = {c: np.asarray(data[c]) for c in wanted}
-    svg = render_svg(xs, series, title=f"{Path(src).name}: {', '.join(wanted)}")
-    try:
-        Path(out).write_text(svg)
-    except OSError as exc:
-        raise _UsageError(f"cannot write {out}: {exc}")
+    series = {c: data[c] for c in wanted}
+    _write_file(
+        opts["output"]["out"],
+        render_svg(data["t"], series, title=f"{Path(src).name}: {', '.join(wanted)}"),
+    )
     return 0
 
 
-def _pick_format(res: _Resolved, out: str | None) -> str:
-    fmt = res.get("output", "format")
-    if fmt is not None:
-        if fmt not in ("json", "text"):
-            raise _UsageError(f"--format must be json or text, got {fmt!r}")
-        return str(fmt)
-    if out is not None and str(out).endswith(".json"):
-        return "json"
-    return "text"
+# ----------------------------------------------------------------------
+# options: one declaration per key drives the flag, the config check and
+# the default
+
+_REQUIRED = object()  # the default of an option that must be given
+
+
+class _Opt(NamedTuple):
+    """One option, read from its flag or else from ``key`` in its config
+    ``section``, cast by ``_cast``.  A None default leaves the value to
+    the called function's own default: the option is then not passed at
+    all.  ``kw`` holds extra ``add_argument`` keywords."""
+
+    key: str
+    cast: type
+    default: object = None
+    help: str | None = None
+    section: str = "command"
+    flag: str | None = None  # when it is not --key with dashes
+    kw: dict | None = None
+
+    @property
+    def flag_name(self) -> str:
+        return self.flag or "--" + self.key.replace("_", "-")
+
+
+def _dataclass_opts(section: str, cls: type) -> tuple[_Opt, ...]:
+    """One option per field of ``cls``; a field without a default is a
+    required option, the others keep the dataclass's own defaults."""
+    hints = get_type_hints(cls)
+    return tuple(
+        _Opt(f.name, hints[f.name], _REQUIRED if f.default is MISSING else None,
+             section=section)
+        for f in fields(cls)
+    )
+
+
+# every subcommand has these flags, in this order
+_SHARED = (
+    *_dataclass_opts("params", FlowParams),
+    _Opt("out", str, section="output"),
+    _Opt("format", str, section="output", kw={"choices": ("json", "text")}),
+    _Opt("stamp", bool, False, "include a wall-clock timestamp in output metadata",
+         section="output", kw={"action": "store_const", "const": True}),
+    *_dataclass_opts("integrator", IntegratorConfig),
+)
+_OUT_REQUIRED = _Opt("out", str, _REQUIRED, section="output")
+
+
+class _Subcommand(NamedTuple):
+    run: Callable[[dict], int]
+    opts: tuple[_Opt, ...]  # its own, and shared ones it declares anew
+    help: str
+
+
+_SUBCOMMANDS = {
+    "simulate": _Subcommand(_cmd_simulate, (
+        _OUT_REQUIRED,
+        _Opt("state", str, _REQUIRED, "lam,mu,nu (ordered)"),
+        _Opt("t0", float, 0.0),
+        _Opt("t_end", float, _REQUIRED),
+        _Opt("points", int, 201, section="output"),
+    ), "integrate one state, write CSV"),
+    "scan": _Subcommand(_cmd_scan, (
+        _Opt("kind", InequalityKind, _REQUIRED, _tokens(InequalityKind)),
+        _Opt("resolution", int),
+        _Opt("tol", float),
+        _Opt("scan_times", list, None,
+             "time for the xi-rate term (repeatable; default 0)", flag="--scan-time"),
+        _Opt("samples", int, None,
+             "random ordered states instead of a grid (trace-bound only)"),
+        _Opt("seed", int),
+        _Opt("inject", bool, None,
+             "skip the injected isotropic equality states (random mode)",
+             flag="--no-inject", kw={"action": "store_const", "const": False}),
+    ), "grid/random sign scan of one claim"),
+    "verify-set": _Subcommand(_cmd_verify_set, (
+        _Opt("set", SetKind, _REQUIRED, "X, K, Y, or W"),
+        _Opt("samples", int, 1000),
+        _Opt("horizon", float, 0.05),
+        _Opt("seed", int, 42),
+        _Opt("tol", float),
+        _Opt("recheck_set", SetKind, None,
+             "evaluate THIS region along trajectories (observation mode)"),
+    ), "flow-invariance check of a preserved region"),
+    "verify-estimate": _Subcommand(_cmd_verify_estimate, (
+        _Opt("variant", EstimateVariant, _REQUIRED, _tokens(EstimateVariant)),
+        _Opt("count", int, 100),
+        _Opt("seed", int, 0),
+        _Opt("tol", float),
+        _Opt("t_end", float),
+    ), "scalar-curvature lower bound along blow-ups"),
+    "deriv-check": _Subcommand(_cmd_deriv_check, (
+        _Opt("quantity", QuantityKind, _REQUIRED, _tokens(QuantityKind)),
+        _Opt("trajectories", int),
+        _Opt("seed", int),
+        _Opt("h", float),
+        _Opt("t_end", float),
+        _Opt("tol", float, 1e-6),
+    ), "closed-form rate vs central difference"),
+    "plot": _Subcommand(_cmd_plot, (
+        _Opt("rho", float, section="params"),  # plot draws no flow: rho is optional
+        _OUT_REQUIRED,
+        _Opt("infile", str, _REQUIRED, "CSV produced by simulate", flag="--in"),
+        _Opt("columns", str, "R", "comma-separated column names"),
+    ), "render CSV columns to SVG"),
+}
+
+
+def _options(subcommand: str) -> list[_Opt]:
+    """The shared options, then the subcommand's own; one the subcommand
+    declares anew replaces the shared one in its place."""
+    merged = {o.key: o for o in (*_SHARED, *_SUBCOMMANDS[subcommand].opts)}
+    return list(merged.values())
+
+
+def _load_config(path: str | None, subcommand: str) -> dict:
+    if path is None:
+        return {}
+    try:
+        raw = json.loads(Path(path).read_text())
+    except OSError as exc:
+        raise _UsageError(f"cannot read config {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise _UsageError(f"config {path} is not valid JSON: {exc}")
+    if not isinstance(raw, dict):
+        raise _UsageError(f"config {path} must be a JSON object")
+    unknown = set(raw) - set(_CONFIG_SECTIONS)
+    if unknown:
+        raise _UsageError(
+            f"unknown config keys {sorted(unknown)}; "
+            f"allowed: {sorted(_CONFIG_SECTIONS)}"
+        )
+    for section in _CONFIG_SECTIONS:
+        entries = raw.get(section, {})
+        if not isinstance(entries, dict):
+            raise _UsageError(f"config section {section!r} must be an object")
+        # the command section is the running subcommand's own
+        names = [subcommand] if section == "command" else _SUBCOMMANDS
+        allowed = {o.key for n in names for o in _options(n) if o.section == section}
+        bad = set(entries) - allowed
+        if bad:
+            raise _UsageError(
+                f"unknown keys {sorted(bad)} in config section {section!r}; "
+                f"allowed: {sorted(allowed)}"
+            )
+    return raw
+
+
+def _resolve(args: argparse.Namespace, config: dict, opts: list[_Opt]) -> dict:
+    """Each option's value, flag over file over default, cast and grouped
+    by config section.  Options left to the called function's default
+    are absent.  Sections resolve in ``_CONFIG_SECTIONS`` order, so the
+    inputs of a run are checked before its outputs."""
+    values: dict = {section: {} for section in _CONFIG_SECTIONS}
+    for opt in sorted(opts, key=lambda o: _CONFIG_SECTIONS.index(o.section)):
+        v = getattr(args, opt.key)
+        if v is None:
+            v = config.get(opt.section, {}).get(opt.key)
+        if v is None:
+            v = opt.default
+        if v is _REQUIRED:
+            raise _UsageError(f"missing required option {opt.flag_name}")
+        if v is not None:
+            values[opt.section][opt.key] = _cast(opt.section, opt.key, v, opt.cast)
+    return values
 
 
 # ----------------------------------------------------------------------
 # argument parsing
-
-
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--config", help="JSON config file")
-    sub.add_argument("--rho", type=float, dest="rho")
-    sub.add_argument("--eta", type=float, dest="eta")
-    sub.add_argument("--theta", type=float, dest="theta")
-    sub.add_argument("--out", dest="out")
-    sub.add_argument("--format", dest="format", choices=("json", "text"))
-    sub.add_argument(
-        "--stamp", dest="stamp", action="store_const", const=True,
-        help="include a wall-clock timestamp in output metadata",
-    )
-    for key in ("rel-tol", "abs-tol", "max-step", "blowup-norm"):
-        sub.add_argument(f"--{key}", type=float, dest=key.replace("-", "_"))
-    sub.add_argument("--max-steps", type=int, dest="max_steps")
 
 
 @functools.cache
@@ -648,89 +618,16 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     subs = parser.add_subparsers(dest="subcommand", required=True)
-
-    sim = subs.add_parser("simulate", help="integrate one state, write CSV")
-    _add_common(sim)
-    sim.add_argument("--state", dest="state", help="lam,mu,nu (ordered)")
-    sim.add_argument("--t0", type=float, dest="t0")
-    sim.add_argument("--t-end", type=float, dest="t_end")
-    sim.add_argument("--points", type=int, dest="points")
-    sim.set_defaults(func=_cmd_simulate)
-
-    scan = subs.add_parser("scan", help="grid/random sign scan of one claim")
-    _add_common(scan)
-    scan.add_argument(
-        "--kind", dest="kind", help=", ".join(k.value for k in InequalityKind)
-    )
-    scan.add_argument("--resolution", type=int, dest="resolution")
-    scan.add_argument("--tol", type=float, dest="tol")
-    scan.add_argument(
-        "--scan-time", type=float, action="append", dest="scan_times",
-        help="time for the xi-rate term (repeatable; default 0)",
-    )
-    scan.add_argument(
-        "--samples", type=int, dest="samples",
-        help="random ordered states instead of a grid (trace-bound only)",
-    )
-    scan.add_argument("--seed", type=int, dest="seed")
-    scan.add_argument(
-        "--no-inject", dest="inject", action="store_const", const=False,
-        help="skip the injected isotropic equality states (random mode)",
-    )
-    scan.set_defaults(func=_cmd_scan)
-
-    vset = subs.add_parser(
-        "verify-set", help="flow-invariance check of a preserved region"
-    )
-    _add_common(vset)
-    vset.add_argument("--set", dest="set", help="X, K, Y, or W")
-    vset.add_argument("--samples", type=int, dest="samples")
-    vset.add_argument("--horizon", type=float, dest="horizon")
-    vset.add_argument("--seed", type=int, dest="seed")
-    vset.add_argument("--tol", type=float, dest="tol")
-    vset.add_argument(
-        "--recheck-set", dest="recheck_set",
-        help="evaluate THIS region along trajectories (observation mode)",
-    )
-    vset.set_defaults(func=_cmd_verify_set)
-
-    vest = subs.add_parser(
-        "verify-estimate", help="scalar-curvature lower bound along blow-ups"
-    )
-    _add_common(vest)
-    vest.add_argument(
-        "--variant", dest="variant",
-        help=", ".join(v.value for v in EstimateVariant),
-    )
-    vest.add_argument("--count", type=int, dest="count")
-    vest.add_argument("--seed", type=int, dest="seed")
-    vest.add_argument("--tol", type=float, dest="tol")
-    vest.add_argument("--t-end", type=float, dest="t_end")
-    vest.set_defaults(func=_cmd_verify_estimate)
-
-    dchk = subs.add_parser(
-        "deriv-check", help="closed-form rate vs central difference"
-    )
-    _add_common(dchk)
-    dchk.add_argument(
-        "--quantity", dest="quantity",
-        help=", ".join(k.value for k in QuantityKind),
-    )
-    dchk.add_argument("--trajectories", type=int, dest="trajectories")
-    dchk.add_argument("--seed", type=int, dest="seed")
-    dchk.add_argument("--h", type=float, dest="h")
-    dchk.add_argument("--t-end", type=float, dest="t_end")
-    dchk.add_argument("--tol", type=float, dest="tol")
-    dchk.set_defaults(func=_cmd_deriv_check)
-
-    plot = subs.add_parser("plot", help="render CSV columns to SVG")
-    _add_common(plot)
-    plot.add_argument("--in", dest="infile", help="CSV produced by simulate")
-    plot.add_argument(
-        "--columns", dest="columns", help="comma-separated column names"
-    )
-    plot.set_defaults(func=_cmd_plot)
-
+    for name, subcommand in _SUBCOMMANDS.items():
+        sub = subs.add_parser(name, help=subcommand.help)
+        sub.add_argument("--config", help="JSON config file")
+        for opt in _options(name):
+            kw = dict(opt.kw or {})
+            if opt.cast in (int, float):
+                kw["type"] = opt.cast
+            elif opt.cast is list:
+                kw.update(type=float, action="append")
+            sub.add_argument(opt.flag_name, dest=opt.key, help=opt.help, **kw)
     return parser
 
 
@@ -742,14 +639,11 @@ def main(argv=None) -> int:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)
     try:
-        config = _load_config(args.config)
-        res = _Resolved(args, config)
-        return int(args.func(res))
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DomainError, EmptyRegion, SamplingExhausted,
-            HypothesisViolated, ValueError) as exc:
+        config = _load_config(args.config, args.subcommand)
+        opts = _resolve(args, config, _options(args.subcommand))
+        return int(_SUBCOMMANDS[args.subcommand].run(opts))
+    # DomainError, EmptyRegion and HypothesisViolated are ValueErrors
+    except (_UsageError, ValueError, SamplingExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

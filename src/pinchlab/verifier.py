@@ -242,6 +242,10 @@ def scan_inequality(
     _validate_scan_params(kind, params)
     if samples is not None and kind is not InequalityKind.TRACE_BOUND:
         raise ValueError("random-state mode exists only for trace-bound scans")
+    if samples is not None and samples <= 0:
+        raise ValueError("samples must be positive")
+    if not scan_times:
+        raise ValueError("scan_times must not be empty")
 
     if samples is not None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -625,6 +629,8 @@ def estimate_suite(
     the remaining lifetime.
     """
     validate_variant_params(variant, params)
+    if count <= 0:
+        raise ValueError("count must be positive")
     cfg = config or IntegratorConfig()
     states = _estimate_initial_states(variant, count, seed)
 
@@ -794,6 +800,8 @@ def deriv_suite(
     worst_trajectory is the spawn index of the trajectory with the
     largest discrepancy at h (None if none is positive), and checkpoints
     counts the central-difference points behind the verdict."""
+    if trajectories <= 0:
+        raise ValueError("trajectories must be positive")
     cfg = config or IntegratorConfig()
     states = _deriv_initial_states(quantity, trajectories, seed)
     worst_h = 0.0

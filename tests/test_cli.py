@@ -183,6 +183,25 @@ def test_verify_set_recheck_is_observation(tmp_path):
 
 # --------------------------------------------------- verify-estimate / deriv
 
+EMPTY_RUNS = {
+    "count": ["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1", "--count", "0"],
+    "count (negative)": ["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1",
+                         "--count", "-3"],
+    "trajectories": ["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
+                     "--trajectories", "0"],
+    "samples": ["scan", "--kind", "trace-bound", "--rho", "0", "--samples", "0"],
+}
+
+
+@pytest.mark.parametrize("case", list(EMPTY_RUNS))
+def test_run_that_checks_nothing_is_usage_error(case, tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run(EMPTY_RUNS[case] + ["--out", out]) == 2
+    argument = case.split()[0]
+    assert capsys.readouterr().err == f"error: {argument} must be positive\n"
+    assert not out.exists()
+
+
 
 def test_verify_estimate_cli(tmp_path):
     out = tmp_path / "est.json"
@@ -307,6 +326,22 @@ def test_plot_svg(tmp_path):
     svg = svg_path.read_text()
     assert svg.startswith("<svg")
     assert "polyline" in svg
+
+
+def test_plot_rejects_a_ragged_row(tmp_path, capsys):
+    csv_path = tmp_path / "r.csv"
+    csv_path.write_text("# meta\nt,R\n0,1\n0.5\n1,3\n")
+    svg_path = tmp_path / "r.svg"
+    assert run(["plot", "--in", csv_path, "--out", svg_path]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {csv_path} line 4 has 1 cells, its header 2\n"
+    )
+    assert not svg_path.exists()
+
+
+def test_plot_missing_input_names_the_flag(tmp_path, capsys):
+    assert run(["plot", "--out", tmp_path / "p.svg"]) == 2
+    assert capsys.readouterr().err == "error: missing required option --in\n"
 
 
 def test_version_flag(capsys):

@@ -276,6 +276,28 @@ def test_estimate_suite_small():
     assert rep.blowups == 8
 
 
+EMPTY_RUNS = {
+    "count": lambda n: estimate_suite(
+        EstimateVariant.NONNEG_RHO, FlowParams(rho=0.1), count=n, seed=0),
+    "trajectories": lambda n: deriv_suite(
+        QuantityKind.LAMBDA_PINCH, P_NEG, trajectories=n),
+    "samples": lambda n: scan_inequality(
+        InequalityKind.TRACE_BOUND, FlowParams(rho=0.0), samples=n),
+}
+
+
+@pytest.mark.parametrize("argument", list(EMPTY_RUNS))
+@pytest.mark.parametrize("n", [0, -3])
+def test_suites_reject_runs_that_check_nothing(argument, n):
+    with pytest.raises(ValueError, match=f"^{argument} must be positive$"):
+        EMPTY_RUNS[argument](n)
+
+
+def test_grid_scan_needs_a_scan_time():
+    with pytest.raises(ValueError, match="scan_times"):
+        scan_inequality(InequalityKind.J_NEG_TRACE, P_NEG, resolution=10, scan_times=())
+
+
 def test_estimate_suite_reproducible():
     a = estimate_suite(EstimateVariant.NONNEG_RHO, FlowParams(rho=0.2), count=5, seed=9)
     b = estimate_suite(EstimateVariant.NONNEG_RHO, FlowParams(rho=0.2), count=5, seed=9)
