@@ -248,28 +248,34 @@ def render_svg(
     ]
     for i in range(5):
         yv = ymin + i * (ymax - ymin) / 4
-        xv = xmin + i * (xmax - xmin) / 4
-        py, px = sy(yv), sx(xv)
-        parts += [
+        py = sy(yv)
+        parts.append(
             f'<line x1="{lpad}" y1="{py:.6g}" x2="{width - rpad}" '
-            f'y2="{py:.6g}" stroke="#ddd"/>',
+            f'y2="{py:.6g}" stroke="#ddd"/>'
+        )
+        parts.append(
             f'<text x="{lpad - 6}" y="{py + 4:.6g}" font-family="sans-serif" '
-            f'font-size="11" text-anchor="end">{yv:.4g}</text>',
+            f'font-size="11" text-anchor="end">{yv:.4g}</text>'
+        )
+        xv = xmin + i * (xmax - xmin) / 4
+        px = sx(xv)
+        parts.append(
             f'<text x="{px:.6g}" y="{height - bpad + 16}" '
             f'font-family="sans-serif" font-size="11" '
-            f'text-anchor="middle">{xv:.4g}</text>',
-        ]
-    parts += [
+            f'text-anchor="middle">{xv:.4g}</text>'
+        )
+    parts.append(
         f'<line x1="{lpad}" y1="{height - bpad}" x2="{width - rpad}" '
-        f'y2="{height - bpad}" stroke="#333"/>',
+        f'y2="{height - bpad}" stroke="#333"/>'
+    )
+    parts.append(
         f'<line x1="{lpad}" y1="{tpad}" x2="{lpad}" '
-        f'y2="{height - bpad}" stroke="#333"/>',
-    ]
+        f'y2="{height - bpad}" stroke="#333"/>'
+    )
     for i, (name, ys) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
         segment: list[str] = []
-        # one polyline per run of finite points; the NaN closes the last run
-        for x, y in [*zip(xs, ys), (math.nan, math.nan)]:
+        for x, y in zip(xs, ys):
             if math.isfinite(x) and math.isfinite(y):
                 segment.append(f"{sx(x):.6g},{sy(y):.6g}")
             elif segment:
@@ -278,14 +284,21 @@ def render_svg(
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
                 segment = []
+        if segment:
+            parts.append(
+                f'<polyline points="{" ".join(segment)}" fill="none" '
+                f'stroke="{color}" stroke-width="1.5"/>'
+            )
         ly = tpad + 16 * i
-        parts += [
+        parts.append(
             f'<line x1="{width - rpad - 120}" y1="{ly}" '
             f'x2="{width - rpad - 96}" y2="{ly}" stroke="{color}" '
-            f'stroke-width="2"/>',
+            f'stroke-width="2"/>'
+        )
+        parts.append(
             f'<text x="{width - rpad - 90}" y="{ly + 4}" '
-            f'font-family="sans-serif" font-size="11">{name}</text>',
-        ]
+            f'font-family="sans-serif" font-size="11">{name}</text>'
+        )
     parts.append("</svg>")
     return "\n".join(parts) + "\n"
 
