@@ -28,7 +28,7 @@ import functools
 import json
 import math
 import sys
-from dataclasses import MISSING, asdict, fields, is_dataclass
+from dataclasses import MISSING, asdict, fields, is_dataclass, replace
 from datetime import datetime, timezone
 from enum import Enum
 from pathlib import Path
@@ -72,7 +72,8 @@ def _cast(section: str, key: str, value, cast):
     """``value`` read as ``cast``: int, float, bool, str, list (a list of
     floats, returned as a tuple) or an Enum whose values are the option's
     tokens.  Flags arrive typed but config values do not, so a value of
-    the wrong type is a usage error that names its key."""
+    the wrong type is a usage error that names its key: an int takes a
+    JSON integer only, a float any JSON number but NaN (flags too)."""
     if issubclass(cast, Enum):
         try:
             return cast(value)
@@ -85,10 +86,12 @@ def _cast(section: str, key: str, value, cast):
         return tuple(_cast(section, key, v, float) for v in value)
     if cast in (bool, str) and isinstance(value, cast):
         return value
-    if cast in (int, float) and not isinstance(value, bool):
+    if cast is float and isinstance(value, float) and not math.isnan(value):
+        return value
+    if cast in (int, float) and isinstance(value, int) and not isinstance(value, bool):
         try:
             return cast(value)
-        except (TypeError, ValueError, OverflowError):
+        except OverflowError:  # an integer too large for a float
             pass
     raise _UsageError(
         f"config value {section}.{key} must be {cast.__name__}, got {value!r}"
@@ -181,7 +184,7 @@ def export_trajectory(
     """
     full = dict(meta or {})
     spec_x = spec_w = spec_k = None
-    if params.rho < 0:
+    if params.neg_rho_window() is None:
         spec_x = SetSpec(SetKind.RICCI_LOG_STATIC, params)
         spec_w = SetSpec(SetKind.TRACE_POSITIVE_RICCI_LOG, params)
     if params.eta_factor > 0:
@@ -354,11 +357,12 @@ def _cmd_simulate(opts: dict) -> int:
 
 
 def _cmd_scan(opts: dict) -> int:
-    cmd, given = opts["command"], opts["params"]
-    if cmd["kind"] is InequalityKind.XI_PRIME and "theta" not in given:
-        if given["rho"] < 0:  # outside the scan window the window check reports
-            given["theta"] = -1.0 / (2.0 * given["rho"])
-    params = FlowParams(**given)
+    cmd, params = opts["command"], FlowParams(**opts["params"])
+    # theta defaults to the claim's own where rho and eta are inside its
+    # window; outside it the scan's window check reports
+    if (cmd["kind"] is InequalityKind.XI_PRIME and "theta" not in opts["params"]
+            and params.neg_rho_sectional_window(check_theta=False) is None):
+        params = replace(params, theta=params.sectional_theta)
     if "inject" in cmd:
         cmd["inject_isotropic"] = cmd.pop("inject")
     report = scan_inequality(params=params, **cmd)

@@ -18,6 +18,9 @@ out what each region is:
 ``W``  nonnegative trace plus a logarithmic trace bound triggered once
        mu+nu drops below -1/(1-4 rho t).  Requires rho < 0.
 
+The rho < 0 window of X and W, the windows in which K and Y are claimed
+invariant and both time factors are stated once, on ``FlowParams``.
+
 Conditional bounds are encoded as "trigger => bound": an inactive
 trigger contributes margin +inf, and a state exactly at the trigger
 threshold evaluates the bound (closed conditions).  Margins are raw
@@ -79,23 +82,21 @@ class SetSpec:
     params: FlowParams
 
     def __post_init__(self) -> None:
-        p = self.params
         if self.kind in (SetKind.RICCI_LOG_STATIC, SetKind.TRACE_POSITIVE_RICCI_LOG):
-            if not p.rho < 0:
-                raise DomainError(
-                    f"set {self.kind.value} needs rho < 0, got rho={p.rho}"
-                )
+            reason = self.params.neg_rho_window()
+            if reason is not None:
+                raise DomainError(f"set {self.kind.value} needs {reason}")
         else:
-            p.require_cone_admissible()
+            self.params.require_cone_admissible()
 
     def time_factor(self, t):
         """The positive factor entering this region's trigger threshold
         (scalar or array t)."""
         if self.kind is SetKind.TRACE_POSITIVE_RICCI_LOG:
-            return 1.0 - 4.0 * self.params.rho * t
+            return self.params.ricci_time_factor(t)
         if self.kind is SetKind.RICCI_LOG_STATIC:
             return 1.0 + 0.0 * t
-        return 1.0 + 2.0 * self.params.eta_factor * t
+        return self.params.sectional_time_factor(t)
 
 
 @dataclass(frozen=True)
@@ -105,14 +106,12 @@ class MembershipResult:
     active_constraint: str
 
 
-def _check_time(spec: SetSpec, t) -> None:
+def _check_time(t) -> None:
+    """At t >= 0 every region's time factor is >= 1: W has rho < 0 and
+    K and Y have 1 + eta*rho > 0."""
     t = np.asarray(t)
     if np.any(t < 0):
         raise DomainError(f"membership time must be >= 0, got {t}")
-    if np.any(spec.time_factor(t) <= 0):
-        raise DomainError(
-            f"time factor nonpositive at t={t} for set {spec.kind.value}"
-        )
 
 
 def constraint_margins(spec: SetSpec, lam, mu, nu, t=0.0):
@@ -123,7 +122,7 @@ def constraint_margins(spec: SetSpec, lam, mu, nu, t=0.0):
     bounds hold +inf.  States and t broadcast like numpy arrays, so a
     trajectory's checkpoints can carry their own times.
     """
-    _check_time(spec, t)
+    _check_time(t)
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -216,14 +215,13 @@ def sample_set(
     count: int,
     seed: int,
     band: float = math.inf,
-    box: float | None = None,
 ) -> list[EigenTriple]:
     """Draw ``count`` ordered states inside the region at time t.
 
     With finite ``band``, each state is pushed down the inward diagonal
     until its margin lies in [0, band]; with band = +inf the raw
     rejection draws are returned.  Bit-for-bit reproducible for fixed
-    (seed, count, spec, t, band, box).
+    (seed, count, spec, t, band).
 
     Raises SamplingExhausted when the per-sample rejection budget or
     the band-landing bisection budget runs out (thin or empty target).
@@ -232,8 +230,8 @@ def sample_set(
         raise ValueError("count must be positive")
     if band < 0:
         raise ValueError("band must be >= 0")
-    _check_time(spec, t)
-    half = default_box_halfwidth(spec, t) if box is None else float(box)
+    _check_time(t)
+    half = default_box_halfwidth(spec, t)
 
     children = np.random.SeedSequence(seed).spawn(count)
     base = np.empty((count, 3))

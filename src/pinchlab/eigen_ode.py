@@ -13,12 +13,16 @@ the diffusion term leaves a quadratic reaction system for the eigenvalues
 Everything downstream (pinching functions, cones, the verifier) is built
 on these right-hand sides.  All operations here are pure functions on
 immutable values.
+
+:class:`FlowParams` states each hypothesis of the paper once: the two
+time factors and the three parameter windows of the claims.  Every
+region, scan and estimate reads them from there.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import BlowUpReached, DomainError
 
@@ -38,14 +42,12 @@ class EigenTriple:
     """Ordered eigenvalue triple ``lam >= mu >= nu`` of the curvature operator.
 
     Construction rejects unordered or non-finite input.  Use
-    :meth:`sorted_from` to build a triple from values of unknown order;
-    it sorts and records whether it had to.
+    :meth:`sorted_from` to build a triple from values of unknown order.
     """
 
     lam: float
     mu: float
     nu: float
-    reordered: bool = field(default=False, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         values = (self.lam, self.mu, self.nu)
@@ -59,14 +61,9 @@ class EigenTriple:
 
     @classmethod
     def sorted_from(cls, a: float, b: float, c: float) -> "EigenTriple":
-        """Build a triple from values in any order.
-
-        The result's ``reordered`` flag is True when the input was not
-        already sorted descending, so callers can detect accidental
-        disorder without being forced to crash on it.
-        """
+        """Build a triple from values in any order."""
         lam, mu, nu = sorted((a, b, c), reverse=True)
-        return cls(lam, mu, nu, reordered=not (a >= b >= c))
+        return cls(lam, mu, nu)
 
     def as_tuple(self) -> tuple[float, float, float]:
         return (self.lam, self.mu, self.nu)
@@ -114,6 +111,51 @@ class FlowParams:
     def eta_factor(self) -> float:
         """``1 + eta*rho``, the coefficient inside the K/Y time factor."""
         return 1.0 + self.eta * self.rho
+
+    def sectional_time_factor(self, t):
+        """1 + 2(1+eta rho) t (float or array t), the time factor of K, Y
+        and xi; at eta = -4 it is the nonnegative-rho factor."""
+        return 1.0 + 2.0 * self.eta_factor * t
+
+    def ricci_time_factor(self, t):
+        """1 - 4 rho t (float or array t), the time factor of W."""
+        return 1.0 - 4.0 * self.rho * t
+
+    # The parameter windows of the claims.  Each returns why these
+    # parameters lie outside it, or None, and leaves the policy (raise,
+    # or run as an observation) to its caller.  A claim whose kernel
+    # fixes eta or theta itself skips the check of that field.
+
+    def neg_rho_window(self) -> str | None:
+        """rho < 0: regions X and W, the J scans, the scalar estimate."""
+        return None if self.rho < 0 else f"rho < 0, got rho={self.rho}"
+
+    @property
+    def sectional_theta(self) -> float:
+        """-1/(2 rho), the theta of the negative-rho sectional window."""
+        return -1.0 / (2.0 * self.rho)
+
+    def neg_rho_sectional_window(self, check_theta: bool = True) -> str | None:
+        """eta > 0, -1/eta < rho < 0 and theta = -1/(2 rho): region Y, the
+        xi-prime scan, the sectional estimate (theta built in)."""
+        eta, rho = self.eta, self.rho
+        if not (eta > 0 and -1.0 / eta < rho < 0.0):
+            return f"eta > 0 and -1/eta < rho < 0, got eta={eta}, rho={rho}"
+        want = self.sectional_theta
+        if check_theta and not math.isclose(self.theta, want, rel_tol=1e-9):
+            return f"theta = -1/(2 rho) = {want}, got {self.theta}"
+        return None
+
+    def nonneg_rho_window(self, check_eta_theta: bool = True) -> str | None:
+        """0 <= rho < 1/4, eta = -4 and theta = 1: region K, the i-poly
+        scan, the nonnegative-rho estimate (eta and theta built in).
+        rho < 1/4 holds for every FlowParams."""
+        if self.rho < 0:
+            return f"0 <= rho < 1/4, got rho={self.rho}"
+        fixed = math.isclose(self.eta, -4.0) and math.isclose(self.theta, 1.0)
+        if check_eta_theta and not fixed:
+            return f"eta = -4 and theta = 1, got eta={self.eta}, theta={self.theta}"
+        return None
 
     def require_cone_admissible(self) -> None:
         if self.eta_factor <= 0:

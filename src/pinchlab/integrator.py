@@ -689,15 +689,14 @@ def standard_trigger_events(params: FlowParams):
         ("nu_zero", lambda t, l, m, n: n),
         ("ricci_zero", lambda t, l, m, n: m + n),
     ]
-    ef = params.eta_factor
-    if ef > 0:
+    if params.eta_factor > 0:
         out.append(
-            ("nu_trigger", lambda t, l, m, n: n + 1.0 / (1.0 + 2.0 * ef * t))
+            ("nu_trigger",
+             lambda t, l, m, n: n + 1.0 / params.sectional_time_factor(t))
         )
-    if params.rho < 0:
-        rho = params.rho
+    if params.neg_rho_window() is None:
         out.append(
             ("ricci_trigger",
-             lambda t, l, m, n: m + n + 1.0 / (1.0 - 4.0 * rho * t))
+             lambda t, l, m, n: m + n + 1.0 / params.ricci_time_factor(t))
         )
     return out

@@ -22,6 +22,8 @@ Natural logarithms throughout.  The central objects:
 The pinching quantities and their rates take one
 :class:`~pinchlab.eigen_ode.EigenTriple`; the ``*_array`` kernels take
 aligned coordinate arrays or plain floats, one kernel per formula.
+Each variant's parameter window and both time factors are stated once,
+on :class:`~pinchlab.eigen_ode.FlowParams`.
 """
 
 from __future__ import annotations
@@ -30,6 +32,8 @@ import enum
 import math
 
 import numpy as np
+
+from dataclasses import replace
 
 from .eigen_ode import EigenTriple, FlowParams, rhs_array
 from .errors import DomainError
@@ -215,18 +219,20 @@ def i_poly_array(l, m, n, rho: float):
     )
 
 
-def _xi_time_factor(params: FlowParams, t: float) -> float:
-    return 1.0 + 2.0 * params.eta_factor * t
+def _cone_time_factor(params: FlowParams, t: float) -> float:
+    """The sectional time factor at t, checked positive."""
+    params.require_cone_admissible()
+    tf = params.sectional_time_factor(t)
+    if tf <= 0:
+        raise DomainError(f"time factor 1+2(1+eta*rho)t must be > 0, got {tf}")
+    return tf
 
 
 def xi_pinch(state: EigenTriple, params: FlowParams, t: float) -> float:
     """(lam+mu+nu)/(-nu) - theta log(-nu) - theta log(1+2(1+eta rho)t)."""
-    params.require_cone_admissible()
+    tf = _cone_time_factor(params, t)
     if state.nu >= 0:
         raise DomainError(f"xi_pinch needs nu < 0, got {state.nu}")
-    tf = _xi_time_factor(params, t)
-    if tf <= 0:
-        raise DomainError(f"time factor 1+2(1+eta*rho)t must be > 0, got {tf}")
     return (
         state.trace / (-state.nu)
         - params.theta * math.log(-state.nu)
@@ -237,12 +243,9 @@ def xi_pinch(state: EigenTriple, params: FlowParams, t: float) -> float:
 def xi_pinch_rate(state: EigenTriple, params: FlowParams, t: float) -> float:
     """Closed-form time derivative of ``xi_pinch`` along the flow,
     including the explicit time term (no trigger substitution)."""
-    params.require_cone_admissible()
+    tf = _cone_time_factor(params, t)
     if state.nu >= 0:
         raise DomainError(f"xi_pinch_rate needs nu < 0, got {state.nu}")
-    tf = _xi_time_factor(params, t)
-    if tf <= 0:
-        raise DomainError(f"time factor 1+2(1+eta*rho)t must be > 0, got {tf}")
     l, m, n = state.as_tuple()
     dl, dm, dn = rhs_array(l, m, n, params.rho)
     trace_rate = dl + dm + dn
@@ -265,10 +268,7 @@ def xi_prime_numerator_array(l, m, n, params: FlowParams, t: float = 0.0):
     lets the verifier scan it on the unit sup-norm slice.  For nu < 0 the
     time term is most adverse at t = 0.
     """
-    params.require_cone_admissible()
-    tf = 1.0 + 2.0 * params.eta_factor * t
-    if tf <= 0:
-        raise DomainError(f"time factor 1+2(1+eta*rho)t must be > 0, got {tf}")
+    tf = _cone_time_factor(params, t)
     dl, dm, dn = rhs_array(l, m, n, params.rho)
     th = params.theta
     return (
@@ -284,24 +284,18 @@ def xi_prime_numerator_array(l, m, n, params: FlowParams, t: float = 0.0):
 
 
 def validate_variant_params(variant: EstimateVariant, params: FlowParams) -> None:
-    """Reject parameter combinations for which ``variant`` says nothing."""
-    rho = params.rho
+    """Reject parameter combinations for which ``variant`` says nothing;
+    a bound with eta or theta built in ignores those fields."""
     if variant is EstimateVariant.NEG_RHO_SCALAR:
-        if rho >= 0:
-            raise DomainError(f"{variant.value} needs rho < 0, got {rho}")
+        reason = params.neg_rho_window()
     elif variant is EstimateVariant.NEG_RHO_SECTIONAL:
-        if params.eta <= 0:
-            raise DomainError(f"{variant.value} needs eta > 0, got {params.eta}")
-        if not (-1.0 / params.eta < rho < 0.0):
-            raise DomainError(
-                f"{variant.value} needs -1/eta < rho < 0, got rho={rho}, "
-                f"eta={params.eta}"
-            )
+        reason = params.neg_rho_sectional_window(check_theta=False)
     elif variant is EstimateVariant.NONNEG_RHO:
-        if not (0.0 <= rho < 0.25):
-            raise DomainError(f"{variant.value} needs 0 <= rho < 1/4, got {rho}")
+        reason = params.nonneg_rho_window(check_eta_theta=False)
     else:
         raise DomainError(f"unknown estimate variant {variant!r}")
+    if reason is not None:
+        raise DomainError(f"{variant.value} needs {reason}")
 
 
 def estimate_rhs_array(variant: EstimateVariant, smallest, params: FlowParams, t):
@@ -322,13 +316,13 @@ def estimate_rhs_array(variant: EstimateVariant, smallest, params: FlowParams, t
     rho = params.rho
     a = -smallest
     if variant is EstimateVariant.NEG_RHO_SCALAR:
-        tf = 1.0 - 4.0 * rho * t
+        tf = params.ricci_time_factor(t)
         return a * (np.log(a) + np.log(tf) - 2.0 * (1.0 - 2.0 * rho)) / (
             1.0 - 2.0 * rho
         )
     if variant is EstimateVariant.NEG_RHO_SECTIONAL:
-        tf = 1.0 + 2.0 * params.eta_factor * t
+        tf = params.sectional_time_factor(t)
         return -a * (np.log(a) + np.log(tf) + 6.0 * rho) / rho
-    tf = 1.0 + 2.0 * (1.0 - 4.0 * rho) * t
+    tf = replace(params, eta=-4.0).sectional_time_factor(t)  # eta = -4 built in
     return 2.0 * a * (np.log(a) + np.log(tf) - 3.0)
 

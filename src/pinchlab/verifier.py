@@ -25,6 +25,8 @@ only the scale-free transverse defect is informative.  Scan margins
 stay raw on the normalized slice; for unnormalized trace-bound inputs
 the violation cutoff is scaled by max(1, sup-norm)^3.
 
+Each claim's parameter window (scan, region claim, estimate) is stated
+once, on ``FlowParams``; this module only applies it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .cone_sets import SetKind, SetSpec, margin_array, sample_set
-from .eigen_ode import RHO_MAX, EigenTriple, FlowParams, rhs_array
+from .eigen_ode import EigenTriple, FlowParams, rhs_array
 from .errors import DomainError, EmptyRegion, HypothesisViolated
 from .integrator import BLOWUP, IntegratorConfig, Trajectory, integrate
 from .pinch_functions import (
@@ -160,25 +162,15 @@ def _region_masks(kind: InequalityKind, lam, mu, nu):
 
 
 def _validate_scan_params(kind: InequalityKind, params: FlowParams) -> None:
-    rho = params.rho
+    reason = None
     if kind in (InequalityKind.J_NEG_TRACE, InequalityKind.J_NONNEG_TRACE):
-        if rho >= 0:
-            raise DomainError(f"{kind.value} scan needs rho < 0, got {rho}")
-    elif kind is InequalityKind.I_POLY:
-        if not (0.0 <= rho < RHO_MAX):
-            raise DomainError(f"{kind.value} scan needs 0 <= rho < 1/4, got {rho}")
+        reason = params.neg_rho_window()
+    elif kind is InequalityKind.I_POLY:  # I has eta = -4 and theta = 1 built in
+        reason = params.nonneg_rho_window(check_eta_theta=False)
     elif kind is InequalityKind.XI_PRIME:
-        if params.eta <= 0 or not (-1.0 / params.eta < rho < 0.0):
-            raise DomainError(
-                f"{kind.value} scan needs eta > 0 and -1/eta < rho < 0, "
-                f"got eta={params.eta}, rho={rho}"
-            )
-        want = -1.0 / (2.0 * rho)
-        if not math.isclose(params.theta, want, rel_tol=1e-9):
-            raise DomainError(
-                f"{kind.value} scan needs theta = -1/(2 rho) = {want}, "
-                f"got {params.theta}"
-            )
+        reason = params.neg_rho_sectional_window()
+    if reason is not None:
+        raise DomainError(f"{kind.value} scan needs {reason}")
 
 
 def _margin_for(kind: InequalityKind, lam, mu, nu, params: FlowParams, t: float):
@@ -237,7 +229,7 @@ def scan_inequality(
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be >= 0")
     _validate_scan_params(kind, params)
     if samples is not None and kind is not InequalityKind.TRACE_BOUND:
@@ -246,6 +238,8 @@ def scan_inequality(
         raise ValueError("samples must be positive")
     if not scan_times:
         raise ValueError("scan_times must not be empty")
+    if not all(math.isfinite(t) for t in scan_times):
+        raise ValueError(f"scan_times must be finite, got {tuple(scan_times)}")
 
     if samples is not None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
@@ -349,25 +343,15 @@ class InvarianceReport:
 def invariance_is_claimed(spec: SetSpec) -> bool:
     """Whether flow-invariance of this region is an established claim.
 
-    X and W: claimed for every admissible (rho < 0) parameter set.
-    Y: claimed for eta > 0, -1/eta < rho < 0, theta = -1/(2 rho).
-    K: claimed for eta = -4, theta = 1, 0 <= rho < 1/4.
+    X and W: claimed inside ``FlowParams.neg_rho_window`` (rho < 0), Y
+    inside ``neg_rho_sectional_window`` and K inside ``nonneg_rho_window``.
     Anything else runs as an observation.
     """
-    p = spec.params
     if spec.kind in (SetKind.RICCI_LOG_STATIC, SetKind.TRACE_POSITIVE_RICCI_LOG):
-        return True
+        return spec.params.neg_rho_window() is None
     if spec.kind is SetKind.SECTIONAL_LOG_NONNEG_RICCI:
-        return (
-            p.eta > 0
-            and -1.0 / p.eta < p.rho < 0.0
-            and math.isclose(p.theta, -1.0 / (2.0 * p.rho), rel_tol=1e-9)
-        )
-    return (
-        math.isclose(p.eta, -4.0)
-        and math.isclose(p.theta, 1.0)
-        and 0.0 <= p.rho < RHO_MAX
-    )
+        return spec.params.neg_rho_sectional_window() is None
+    return spec.params.nonneg_rho_window() is None
 
 
 def _checkpoint_times(traj: Trajectory, uniform: int = 129):
@@ -434,6 +418,8 @@ def check_invariance(
         raise ValueError("horizon must be positive")
     if samples <= 0:
         raise ValueError("samples must be positive")
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     cfg = config or IntegratorConfig()
     eff_recheck = recheck or spec
     band = 100.0 * tol
@@ -577,6 +563,25 @@ def check_estimate(
     )
 
 
+def _seeded_starts(
+    count: int, seed: int, low: float, high: float,
+    accept: Callable[[np.ndarray], bool],
+) -> list[EigenTriple]:
+    """``count`` ordered starts, start i the first draw from [low, high)^3
+    of PCG64(SeedSequence(seed).spawn(count)[i]) that ``accept`` takes."""
+    out = []
+    for child in np.random.SeedSequence(seed).spawn(count):
+        rng = np.random.Generator(np.random.PCG64(child))
+        for _ in range(10_000):
+            cand = np.sort(rng.uniform(low, high, size=3))[::-1]
+            if accept(cand):
+                out.append(EigenTriple(*cand))
+                break
+        else:  # pragma: no cover - every box and predicate used is fat
+            raise RuntimeError("start sampling exhausted")
+    return out
+
+
 def _estimate_initial_states(
     variant: EstimateVariant, count: int, seed: int
 ) -> list[EigenTriple]:
@@ -590,24 +595,12 @@ def _estimate_initial_states(
     inside the preserved trace-positive region.
     """
     high = 2.0 if variant is EstimateVariant.NONNEG_RHO else 3.0
-    children = np.random.SeedSequence(seed).spawn(count)
-    out = []
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        for _ in range(10_000):
-            cand = np.sort(rng.uniform(-1.0, high, size=3))[::-1]
-            if cand.sum() < 0.05:
-                continue
-            ric = cand[1] + cand[2]
-            if variant is EstimateVariant.NEG_RHO_SCALAR and ric < -1.0:
-                continue
-            if variant is EstimateVariant.NEG_RHO_SECTIONAL and ric < 0.0:
-                continue
-            out.append(EigenTriple(*cand))
-            break
-        else:  # pragma: no cover - box/hypothesis combinations are fat
-            raise RuntimeError("estimate start sampling exhausted")
-    return out
+    scalar = variant is EstimateVariant.NEG_RHO_SCALAR
+    return _seeded_starts(count, seed, -1.0, high, lambda c: (
+        c.sum() >= 0.05
+        and not (scalar and c[1] + c[2] < -1.0)
+        and _hypothesis_ok(variant, c) is None
+    ))
 
 
 def estimate_suite(
@@ -631,6 +624,8 @@ def estimate_suite(
     validate_variant_params(variant, params)
     if count <= 0:
         raise ValueError("count must be positive")
+    if math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     cfg = config or IntegratorConfig()
     states = _estimate_initial_states(variant, count, seed)
 
@@ -762,27 +757,9 @@ def _deriv_initial_states(
     The boxes stay near unit scale on purpose — the third time
     derivative entering the central-difference error grows cubically
     with state amplitude."""
-    children = np.random.SeedSequence(seed).spawn(n)
-    lo, hi = (
-        (-1.0, 1.0)
-        if quantity is QuantityKind.LAMBDA_PINCH
-        else (-1.2, 0.8)
-    )
-    out = []
-    for child in children:
-        rng = np.random.Generator(np.random.PCG64(child))
-        for _ in range(10_000):
-            cand = np.sort(rng.uniform(lo, hi, size=3))[::-1]
-            if quantity is QuantityKind.LAMBDA_PINCH:
-                if cand[1] + cand[2] > -1.0:
-                    continue
-            elif cand[2] > -1.0:
-                continue
-            out.append(EigenTriple(*cand))
-            break
-        else:  # pragma: no cover
-            raise RuntimeError("derivative start sampling exhausted")
-    return out
+    if quantity is QuantityKind.LAMBDA_PINCH:
+        return _seeded_starts(n, seed, -1.0, 1.0, lambda c: c[1] + c[2] <= -1.0)
+    return _seeded_starts(n, seed, -1.2, 0.8, lambda c: c[2] <= -1.0)
 
 
 def deriv_suite(

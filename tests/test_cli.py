@@ -292,6 +292,50 @@ def test_wrong_config_type_is_usage_error(tmp_path, capsys, key):
     assert not out.exists()
 
 
+# an int takes a JSON integer only and a float a JSON number only: no
+# truncation, no parsing of strings
+LOOSE_NUMBERS = {
+    "fraction for an int": ("command.resolution", 40.7, "40.7"),
+    "whole float for an int": ("command.resolution", 40.0, "40.0"),
+    "string for an int": ("command.resolution", "40", "'40'"),
+    "string for a float": ("params.rho", "-1", "'-1'"),
+    "NaN for a float": ("command.tol", math.nan, "nan"),
+}
+
+
+@pytest.mark.parametrize("case", list(LOOSE_NUMBERS))
+def test_config_numbers_are_not_cast_loosely(case, tmp_path, capsys):
+    key, value, shown = LOOSE_NUMBERS[case]
+    section, name = key.split(".")
+    config = {"params": {"rho": -1}, "command": {"kind": "j-neg-trace"},
+              "output": {"out": str(tmp_path / "never.json")}}
+    config[section][name] = value
+    cfg = tmp_path / "loose.json"
+    cfg.write_text(json.dumps(config))
+    assert run(["scan", "--config", cfg]) == 2
+    cast = "int" if name == "resolution" else "float"
+    assert capsys.readouterr().err == f"error: config value {key} must be {cast}, got {shown}\n"
+    assert not (tmp_path / "never.json").exists()
+
+
+NAN_FLAGS = {
+    "command.tol": ["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
+                    "--trajectories", "2", "--tol", "nan"],
+    "command.scan_times": ["scan", "--kind", "xi-prime", "--rho", "-0.5", "--eta", "1",
+                           "--scan-time", "nan"],
+    "params.rho": ["scan", "--kind", "j-neg-trace", "--rho", "nan"],
+}
+
+
+@pytest.mark.parametrize("key", list(NAN_FLAGS))
+def test_nan_flag_is_usage_error(key, tmp_path, capsys):
+    # a NaN tolerance passed every comparison-based verdict, and a NaN
+    # scan time broke the scan's argmin
+    assert run(NAN_FLAGS[key] + ["--out", tmp_path / "never.json"]) == 2
+    assert capsys.readouterr().err == f"error: config value {key} must be float, got nan\n"
+    assert not (tmp_path / "never.json").exists()
+
+
 # -------------------------------------------------------- output mechanics
 
 

@@ -66,6 +66,65 @@ def test_simulate_meta_block_is_pinned(tmp_path):
     assert "".join(ln for ln in lines if ln.startswith("#")) == SIMULATE_META
 
 
+# sha256 of the full JSON stdout of the commands that read a parameter
+# window or a time factor, recorded before each window and factor moved
+# to one function; the K run at eta = 1 is an observation (claimed=false)
+VERIFY_SET_SMALL = ["--samples", "3", "--horizon", "0.01"]
+REPORT_SHA_PINS = {
+    "verify-set X": (
+        ["verify-set", "--set", "X", "--rho", "-1", *VERIFY_SET_SMALL],
+        "402e9fc39d0e82d4eb5af0f05b17df1a187cc7d4f009e84d31a9517cf63a507d"),
+    "verify-set W": (
+        ["verify-set", "--set", "W", "--rho", "-1", *VERIFY_SET_SMALL],
+        "fb56b912905ff61c60b0879958b6ec9b6a25f9a578c8ac0b8af10f8faf22cab3"),
+    "verify-set Y": (
+        ["verify-set", "--set", "Y", "--rho", "-0.5", "--eta", "1", *VERIFY_SET_SMALL],
+        "8dde49b4d6943a08f4f58230c229e0758b864d83a272d43f90f6ab9b92ebb759"),
+    "verify-set K": (
+        ["verify-set", "--set", "K", "--rho", "0.1", *VERIFY_SET_SMALL],
+        "9c9a311ce0d320680b873241ab237e47a613dc7879545aa6ae0736e9e5f30899"),
+    "verify-set K observation": (
+        ["verify-set", "--set", "K", "--rho", "-0.5", "--eta", "1", "--samples", "3",
+         "--horizon", "0.05"],
+        "bc4d29f763554c5b74eb7af5344f2967b909c3eeb60a1dc77c92b8d95af938ff"),
+    "verify-estimate neg-rho-scalar": (
+        ["verify-estimate", "--variant", "neg-rho-scalar", "--rho", "-1", "--count", "3"],
+        "d4d00c5cceda79c4b8952907384e01fea52d06f2458e1f895be6222dc1480f99"),
+    "verify-estimate neg-rho-sectional": (
+        ["verify-estimate", "--variant", "neg-rho-sectional", "--rho", "-0.5", "--eta", "1",
+         "--count", "3"],
+        "1c25cb4222cdee8ca28c8576c16c1788a6b8dae009939208cb5eaf498d1dd3c5"),
+    "verify-estimate nonneg-rho": (
+        ["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1", "--count", "3"],
+        "c09abccaded6316a5b41dc192b0a9ae03cf42b1591a110bb8b1fa89daf16b857"),
+    "deriv-check lambda-pinch": (
+        ["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1", "--trajectories", "2"],
+        "0a86fb58b0d1caead0c0d56656b7c1ee8fd541d5fb12c21c5ce3c0bd5f81e2f8"),
+    "deriv-check xi-pinch": (
+        ["deriv-check", "--quantity", "xi-pinch", "--rho", "0.1", "--trajectories", "2"],
+        "cc61a2146c187c9a77d8cc621fce2c0c4e8d430429fa5090be73e4d7847249a2"),
+}
+
+
+@pytest.mark.parametrize("name", list(REPORT_SHA_PINS))
+def test_report_output_bytes_are_pinned(name, capsys):
+    argv, digest = REPORT_SHA_PINS[name]
+    assert main(argv + ["--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+
+
+def test_simulate_csv_with_events_is_pinned(tmp_path):
+    out = tmp_path / "s.csv"
+    assert main(["simulate", "--state", "1,-0.5,-0.8", "--rho", "-1", "--t-end", "0.5",
+                 "--points", "11", "--out", str(out)]) == 0
+    text = out.read_text()
+    assert '# events = [{"name": "nu_trigger"' in text
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "4a91da976b9c25e79f0522de1dd2957743d9359706212b88c0f43110eccd9aff"
+    )
+
+
 INTEGRATOR_META = {
     "abs_tol": 1e-12, "blowup_norm": 1e12, "max_step": "inf", "max_steps": 500000,
     "rel_tol": 1e-10,

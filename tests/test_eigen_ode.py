@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
@@ -60,6 +61,44 @@ def test_params_reject_nonpositive_theta():
 def test_eta_factor():
     assert FlowParams(rho=0.1, eta=-4.0).eta_factor == pytest.approx(0.6)
     assert FlowParams(rho=-0.5, eta=1.0).eta_factor == pytest.approx(0.5)
+
+
+def test_time_factors_keep_the_bits_of_their_written_forms():
+    rng = np.random.default_rng(0)
+    ts = rng.uniform(0.0, 100.0, 1000)
+    for rho in rng.uniform(-10.0, 0.25, 100):
+        p = FlowParams(rho=float(rho))  # eta = -4: the nonnegative-rho factor
+        assert np.array_equal(p.sectional_time_factor(ts), 1.0 + 2.0 * (1.0 - 4.0 * rho) * ts)
+        assert np.array_equal(p.ricci_time_factor(ts), 1.0 - 4.0 * rho * ts)
+
+
+WINDOW_REASONS = [
+    (FlowParams(rho=-0.5, eta=1.0, theta=1.0), None, None, "0 <= rho < 1/4, got rho=-0.5"),
+    (FlowParams(rho=0.1), "rho < 0, got rho=0.1",
+     "eta > 0 and -1/eta < rho < 0, got eta=-4.0, rho=0.1", None),
+    (FlowParams(rho=-2.0, eta=1.0, theta=0.25), None,
+     "eta > 0 and -1/eta < rho < 0, got eta=1.0, rho=-2.0", "0 <= rho < 1/4, got rho=-2.0"),
+    (FlowParams(rho=-0.5, eta=1.0, theta=2.0), None,
+     "theta = -1/(2 rho) = 1.0, got 2.0", "0 <= rho < 1/4, got rho=-0.5"),
+    (FlowParams(rho=0.1, eta=1.0), "rho < 0, got rho=0.1",
+     "eta > 0 and -1/eta < rho < 0, got eta=1.0, rho=0.1",
+     "eta = -4 and theta = 1, got eta=1.0, theta=1.0"),
+]
+
+
+@pytest.mark.parametrize("params, neg, sectional, nonneg", WINDOW_REASONS)
+def test_each_window_names_what_lies_outside_it(params, neg, sectional, nonneg):
+    assert params.neg_rho_window() == neg
+    assert params.neg_rho_sectional_window() == sectional
+    assert params.nonneg_rho_window() == nonneg
+
+
+def test_windows_skip_the_fields_a_kernel_builds_in():
+    off_theta = FlowParams(rho=-0.5, eta=1.0, theta=2.0)
+    assert off_theta.neg_rho_sectional_window(check_theta=False) is None
+    assert off_theta.sectional_theta == 1.0
+    off_eta = FlowParams(rho=0.1, eta=1.0, theta=3.0)
+    assert off_eta.nonneg_rho_window(check_eta_theta=False) is None
 
 
 def test_rhs_hand_value_rho_zero():

@@ -26,6 +26,7 @@ from pinchlab import (
     scan_inequality,
 )
 from pinchlab.cone_sets import sample_set
+from pinchlab.pinch_functions import estimate_rhs_array
 from pinchlab.verifier import _deriv_initial_states, _drift_one, _estimate_initial_states
 
 P_NEG = FlowParams(rho=-1.0)
@@ -296,6 +297,123 @@ def test_suites_reject_runs_that_check_nothing(argument, n):
 def test_grid_scan_needs_a_scan_time():
     with pytest.raises(ValueError, match="scan_times"):
         scan_inequality(InequalityKind.J_NEG_TRACE, P_NEG, resolution=10, scan_times=())
+
+
+@pytest.mark.parametrize("scan_time", [math.nan, math.inf, -math.inf])
+def test_grid_scan_rejects_a_non_finite_scan_time(scan_time):
+    p = FlowParams(rho=-0.5, eta=1.0, theta=1.0)
+    with pytest.raises(ValueError, match="scan_times must be finite"):
+        scan_inequality(InequalityKind.XI_PRIME, p, resolution=10, scan_times=(0.0, scan_time))
+
+
+NAN_TOL_RUNS = {
+    "grid scan": lambda: scan_inequality(
+        InequalityKind.J_NEG_TRACE, P_NEG, resolution=10, tol=math.nan),
+    "random scan": lambda: scan_inequality(
+        InequalityKind.TRACE_BOUND, FlowParams(rho=0.0), samples=10, tol=math.nan),
+    "invariance": lambda: check_invariance(
+        SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), 1, 0.01, 0, tol=math.nan),
+    "estimate suite": lambda: estimate_suite(
+        EstimateVariant.NEG_RHO_SCALAR, P_NEG, count=1, seed=0, tol=math.nan),
+}
+
+
+@pytest.mark.parametrize("run", list(NAN_TOL_RUNS))
+def test_nan_tol_is_rejected_not_a_pass(run):
+    # every comparison with NaN is False, so a NaN tol would count no violation
+    with pytest.raises(ValueError, match="^tol must"):
+        NAN_TOL_RUNS[run]()
+
+
+# ------------------------------------------- parameter windows, checked once
+
+# rho = -1/eta exactly for every eta > 0 below, and theta is also tried
+# 1e-8 relative off -1/(2 rho), outside the 1e-9 tolerance of the rule
+WINDOW_RHOS = (-2.0, -1.0, -0.5, -0.25, -1e-3, 0.0, 0.1, 0.2)
+WINDOW_ETAS = (-4.0, -1.0, 0.0, 0.5, 1.0, 2.0, 4.0)
+
+
+def window_thetas(rho):
+    rule = -1.0 / (2.0 * rho) if rho < 0 else 1.0
+    return (1.0, rule, rule * (1.0 + 1e-8))
+
+
+def accepts(call) -> bool:
+    try:
+        call()
+    except DomainError:
+        return False
+    return True
+
+
+def scan_accepts(kind, p):
+    return accepts(lambda: scan_inequality(kind, p, resolution=6))
+
+
+def claim_accepts(kind, p):
+    return accepts(lambda: SetSpec(kind, p)) and invariance_is_claimed(SetSpec(kind, p))
+
+
+def estimate_accepts(variant, p):
+    return accepts(lambda: estimate_rhs_array(variant, -1.0, p, 0.0))
+
+
+def neg_rho_groups(p):
+    return [{
+        "j-neg-trace scan": scan_accepts(InequalityKind.J_NEG_TRACE, p),
+        "j-nonneg-trace scan": scan_accepts(InequalityKind.J_NONNEG_TRACE, p),
+        "X claim": claim_accepts(SetKind.RICCI_LOG_STATIC, p),
+        "W claim": claim_accepts(SetKind.TRACE_POSITIVE_RICCI_LOG, p),
+        "scalar estimate": estimate_accepts(EstimateVariant.NEG_RHO_SCALAR, p),
+    }]
+
+
+def neg_rho_sectional_groups(p):
+    # the sectional estimate builds theta = -1/(2 rho) in, so it answers
+    # for the claim at that theta
+    ruled = dataclasses.replace(p, theta=-1.0 / (2.0 * p.rho)) if p.rho < 0 else p
+    return [{
+        "xi-prime scan": scan_accepts(InequalityKind.XI_PRIME, p),
+        "Y claim": claim_accepts(SetKind.SECTIONAL_LOG_NONNEG_RICCI, p),
+    }, {
+        "sectional estimate": estimate_accepts(EstimateVariant.NEG_RHO_SECTIONAL, p),
+        "Y claim at theta = -1/(2 rho)": claim_accepts(
+            SetKind.SECTIONAL_LOG_NONNEG_RICCI, ruled),
+    }]
+
+
+def nonneg_rho_groups(p):
+    # the i-poly scan and the estimate build eta = -4 and theta = 1 in, so
+    # they answer for the claim at those values
+    fixed = dataclasses.replace(p, eta=-4.0, theta=1.0)
+    return [{
+        "i-poly scan": scan_accepts(InequalityKind.I_POLY, p),
+        "nonneg-rho estimate": estimate_accepts(EstimateVariant.NONNEG_RHO, p),
+        "K claim at eta = -4, theta = 1": claim_accepts(SetKind.SECTIONAL_LOG, fixed),
+    }, {
+        "K claim": claim_accepts(SetKind.SECTIONAL_LOG, p),
+        "K claim at eta = -4, theta = 1, where they are given": (
+            claim_accepts(SetKind.SECTIONAL_LOG, fixed) and p == fixed),
+    }]
+
+
+WINDOWS = {
+    "rho < 0": neg_rho_groups,
+    "eta > 0, -1/eta < rho < 0, theta = -1/(2 rho)": neg_rho_sectional_groups,
+    "0 <= rho < 1/4, eta = -4, theta = 1": nonneg_rho_groups,
+}
+
+
+@pytest.mark.parametrize("window", list(WINDOWS))
+def test_scans_claims_and_estimates_share_each_window(window):
+    seen = set()
+    for rho in WINDOW_RHOS:
+        for eta in WINDOW_ETAS:
+            for theta in window_thetas(rho):
+                for group in WINDOWS[window](FlowParams(rho=rho, eta=eta, theta=theta)):
+                    assert len(set(group.values())) == 1, (rho, eta, theta, group)
+                    seen |= set(group.values())
+    assert seen == {True, False}  # the grid reaches both sides of the window
 
 
 def test_estimate_suite_reproducible():
