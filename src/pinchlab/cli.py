@@ -49,6 +49,7 @@ from .verifier import (
     deriv_suite,
     estimate_suite,
     scan_inequality,
+    validate_tol,
 )
 
 __all__ = ["main", "export_trajectory", "write_report", "render_svg"]
@@ -363,8 +364,6 @@ def _cmd_scan(opts: dict) -> int:
     if (cmd["kind"] is InequalityKind.XI_PRIME and "theta" not in opts["params"]
             and params.neg_rho_sectional_window(check_theta=False) is None):
         params = replace(params, theta=params.sectional_theta)
-    if "inject" in cmd:
-        cmd["inject_isotropic"] = cmd.pop("inject")
     report = scan_inequality(params=params, **cmd)
     _write(opts, _base_meta(opts, "scan", params), report)
     return 1 if report.violations > 0 else 0
@@ -403,6 +402,7 @@ def _cmd_deriv_check(opts: dict) -> int:
     cfg = IntegratorConfig(**opts["integrator"])
     cmd = opts["command"]
     tol = cmd.pop("tol")  # the verdict's, not deriv_suite's
+    validate_tol(tol)
     report = deriv_suite(params=params, config=cfg, **cmd)
     meta = _base_meta(opts, "deriv-check", params, cfg)
     meta["tol"] = tol
@@ -517,9 +517,6 @@ _SUBCOMMANDS = {
         _Opt("samples", int, None,
              "random ordered states instead of a grid (trace-bound only)"),
         _Opt("seed", int),
-        _Opt("inject", bool, None,
-             "skip the injected isotropic equality states (random mode)",
-             flag="--no-inject", kw={"action": "store_const", "const": False}),
     ), "grid/random sign scan of one claim"),
     "verify-set": _Subcommand(_cmd_verify_set, (
         _Opt("set", SetKind, _REQUIRED, "X, K, Y, or W"),

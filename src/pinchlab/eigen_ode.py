@@ -72,15 +72,6 @@ class EigenTriple:
     def trace(self) -> float:
         return self.lam + self.mu + self.nu
 
-    @property
-    def sup_norm(self) -> float:
-        return max(abs(self.lam), abs(self.mu), abs(self.nu))
-
-    def scaled(self, s: float) -> "EigenTriple":
-        if s >= 0:
-            return EigenTriple(self.lam * s, self.mu * s, self.nu * s)
-        return EigenTriple(self.nu * s, self.mu * s, self.lam * s)
-
 
 @dataclass(frozen=True)
 class FlowParams:

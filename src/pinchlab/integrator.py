@@ -262,8 +262,6 @@ class Trajectory:
     states_array: np.ndarray
     dense: np.ndarray
     terminal: TerminalStatus
-    params: FlowParams
-    config: IntegratorConfig
     events: tuple[EventRecord, ...] = ()
     stats: dict = field(default_factory=dict, compare=False, repr=False)
 
@@ -372,7 +370,7 @@ def _locate_event(g, g0, t_lo, t_hi, q) -> float:
     return 0.5 * (t_lo + t_hi)
 
 
-def _constant_trajectory(y0, params, t0, t_end, cfg) -> Trajectory:
+def _constant_trajectory(y0, t0, t_end) -> Trajectory:
     """The exact solution of a state that cannot move: one step with
     u = y0 at l = 0 and a linear clock."""
     dense = np.zeros((1, 5, 5))
@@ -386,8 +384,6 @@ def _constant_trajectory(y0, params, t0, t_end, cfg) -> Trajectory:
         states_array=arrays[1],
         dense=arrays[2],
         terminal=TerminalStatus(REACHED_END),
-        params=params,
-        config=cfg,
         stats={"accepted": 0, "rejected": 0, "rhs_evals": 1},
     )
 
@@ -418,7 +414,7 @@ def integrate(
     t = float(t0)
     big = max(abs(y0[0]), abs(y0[1]), abs(y0[2]))
     if big < _TINY:
-        return _constant_trajectory(y0, params, t, float(t_end), cfg)
+        return _constant_trajectory(y0, t, float(t_end))
     # u = y/|y| and l = log|y|, formed without overflow or underflow
     vl, vm, vn = y0[0] / big, y0[1] / big, y0[2] / big
     r = math.sqrt(vl * vl + vm * vm + vn * vn)
@@ -665,8 +661,6 @@ def integrate(
         states_array=states_a,
         dense=dense_a,
         terminal=terminal,
-        params=params,
-        config=cfg,
         events=tuple(recs),
         stats={
             "accepted": naccept,

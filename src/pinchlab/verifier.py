@@ -26,7 +26,9 @@ stay raw on the normalized slice; for unnormalized trace-bound inputs
 the violation cutoff is scaled by max(1, sup-norm)^3.
 
 Each claim's parameter window (scan, region claim, estimate) is stated
-once, on ``FlowParams``; this module only applies it.
+once, on ``FlowParams``; this module only applies it.  The ensemble loop
+of the three suites (integrate each seeded start, check it, sum the
+integrator's work) is written once, in ``_run_lanes``.
 """
 
 from __future__ import annotations
@@ -198,6 +200,13 @@ def _lexicographic_argmin(margins: np.ndarray, lam, mu, nu) -> int:
     return int(cands[order[0]])
 
 
+def validate_tol(tol: float) -> None:
+    """A verdict's tolerance must be finite and >= 0: a NaN or infinite
+    tol passes every run, a negative one fails runs that hold."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"tol must be finite and >= 0, got {tol!r}")
+
+
 _ISO_INJECT = (1.0, -1.0, 0.5, -2.0, 3.25)
 
 
@@ -209,7 +218,6 @@ def scan_inequality(
     scan_times: Sequence[float] = (0.0,),
     samples: int | None = None,
     seed: int = 0,
-    inject_isotropic: bool = True,
 ) -> ScanReport:
     """Evaluate one sign claim over its region and report the minimum.
 
@@ -229,8 +237,7 @@ def scan_inequality(
     """
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
-    if not tol >= 0:
-        raise ValueError("tol must be >= 0")
+    validate_tol(tol)
     _validate_scan_params(kind, params)
     if samples is not None and kind is not InequalityKind.TRACE_BOUND:
         raise ValueError("random-state mode exists only for trace-bound scans")
@@ -244,11 +251,10 @@ def scan_inequality(
     if samples is not None:
         rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
         draw = rng.uniform(-5.0, 5.0, size=(samples, 3))
-        cols = np.empty((3, samples + (len(_ISO_INJECT) if inject_isotropic else 0)))
+        cols = np.empty((3, samples + len(_ISO_INJECT)))
         cols[:, :samples] = draw.T  # three contiguous columns
         del draw
-        if inject_isotropic:
-            cols[:, samples:] = _ISO_INJECT
+        cols[:, samples:] = _ISO_INJECT
         # a three-element compare-exchange network orders each row in
         # place, lam >= mu >= nu, with the same values as a row sort
         a, b, c = cols[:, :samples]
@@ -260,59 +266,46 @@ def scan_inequality(
         np.maximum(a, b, out=a)
         b[:] = lo
         del lo
-        lam, mu, nu = cols
+        lam, _, nu = cols
         margins = _margin_for(kind, *cols, params, 0.0)
         # the largest magnitude of an ordered triple sits at one of its ends
         cutoff = tol * np.maximum(1.0, np.maximum(np.abs(lam), np.abs(nu))) ** 3
-        violations = int((margins < -cutoff).sum())
-        amin = _lexicographic_argmin(margins, *cols)
-        inj_max = (
-            float(np.abs(margins[-len(_ISO_INJECT):]).max())
-            if inject_isotropic
-            else None
-        )
-        return ScanReport(
-            kind=kind,
-            params=params,
-            resolution=resolution,
-            points_checked=len(lam),
-            min_margin=float(margins[amin]),
-            argmin_state=EigenTriple(lam[amin], mu[amin], nu[amin]),
-            violations=violations,
-            tol=tol,
-            near_boundary_points=0,
+        by_mode = dict(
             mode="random",
+            near_boundary_points=0,
             samples=samples,
             seed=seed,
-            injected_max_abs_margin=inj_max,
+            injected_max_abs_margin=float(np.abs(margins[-len(_ISO_INJECT):]).max()),
         )
-
-    cols = _unit_slice(resolution)
-    mask, slack = _region_masks(kind, *cols)
-    region = np.flatnonzero(mask)
-    if len(region) == 0:
-        raise EmptyRegion(
-            f"no grid point of the resolution-{resolution} slice lies in "
-            f"the {kind.value} region"
+    else:
+        cols = _unit_slice(resolution)
+        mask, slack = _region_masks(kind, *cols)
+        region = np.flatnonzero(mask)
+        if len(region) == 0:
+            raise EmptyRegion(
+                f"no grid point of the resolution-{resolution} slice lies in "
+                f"the {kind.value} region"
+            )
+        cols = tuple(np.take(c, region) for c in cols)
+        margins = _margin_for(kind, *cols, params, float(scan_times[0]))
+        for t in scan_times[1:]:
+            margins = np.minimum(margins, _margin_for(kind, *cols, params, float(t)))
+        cutoff = tol
+        by_mode = dict(
+            near_boundary_points=int((np.take(slack, region) < 2.0 / resolution).sum()),
+            scan_times=tuple(float(t) for t in scan_times),
         )
-    cols = tuple(np.take(c, region) for c in cols)
-    margins = _margin_for(kind, *cols, params, float(scan_times[0]))
-    for t in scan_times[1:]:
-        margins = np.minimum(margins, _margin_for(kind, *cols, params, float(t)))
-    violations = int((margins < -tol).sum())
     amin = _lexicographic_argmin(margins, *cols)
-    near = int((np.take(slack, region) < 2.0 / resolution).sum())
     return ScanReport(
         kind=kind,
         params=params,
         resolution=resolution,
-        points_checked=len(region),
+        points_checked=len(margins),
         min_margin=float(margins[amin]),
         argmin_state=EigenTriple(*(c[amin] for c in cols)),
-        violations=violations,
+        violations=int((margins < -cutoff).sum()),
         tol=tol,
-        near_boundary_points=near,
-        scan_times=tuple(float(t) for t in scan_times),
+        **by_mode,
     )
 
 
@@ -362,32 +355,48 @@ def _checkpoint_times(traj: Trajectory, uniform: int = 129):
     return np.unique(np.concatenate([np.linspace(t0, t1, uniform), traj.times]))
 
 
-def _work_counters(lanes) -> dict:
-    """Integrator work of (stats, terminal kind) lanes, summed in order."""
-    counters = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+def _run_lanes(
+    states: Sequence[EigenTriple], params: FlowParams, t_end: float,
+    config: IntegratorConfig | None, check: Callable[[int, Trajectory], object],
+) -> tuple[list, dict]:
+    """The ensemble loop of every suite: integrate each start over
+    [0, t_end] in start order and hand the trajectory and its spawn index
+    to ``check``.  Returns the checks' results in start order and the
+    integrator work summed over the lanes, terminal kinds in order of
+    first appearance."""
+    results = []
+    work = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
     kinds: dict[str, int] = {}
-    for stats, kind in lanes:
-        counters["steps_accepted"] += stats["accepted"]
-        counters["steps_rejected"] += stats["rejected"]
-        counters["rhs_evals"] += stats["rhs_evals"]
-        kinds[kind] = kinds.get(kind, 0) + 1
-    return {**counters, "terminal_kinds": kinds}
+    for i, state in enumerate(states):
+        traj = integrate(state, params, 0.0, t_end, config)
+        results.append(check(i, traj))
+        work["steps_accepted"] += traj.stats["accepted"]
+        work["steps_rejected"] += traj.stats["rejected"]
+        work["rhs_evals"] += traj.stats["rhs_evals"]
+        kinds[traj.terminal.kind] = kinds.get(traj.terminal.kind, 0) + 1
+        del traj  # free each lane before the next one integrates
+    return results, {**work, "terminal_kinds": kinds}
 
 
-def _drift_one(
-    state: EigenTriple,
-    spec: SetSpec,
-    recheck: SetSpec,
-    horizon: float,
-    config: IntegratorConfig,
-) -> tuple[float, int, dict, str]:
-    traj = integrate(state, spec.params, 0.0, horizon, config)
+def _worst_lane(scores: Sequence[float], tol: float) -> tuple[float, int | None]:
+    """The first strictly lowest score (+inf when none is below it) and
+    its lane, named only when the score is below -tol."""
+    worst, lane = math.inf, -1
+    for i, score in enumerate(scores):
+        if score < worst:
+            worst, lane = score, i
+    return worst, lane if worst < -tol else None
+
+
+def _drift(traj: Trajectory, recheck: SetSpec) -> tuple[float, int]:
+    """The lowest normalized membership margin of ``recheck`` along a
+    trajectory, and the number of checkpoints it was read at."""
     ts = _checkpoint_times(traj)
     rows = traj.eval_many(ts)
     margins = margin_array(recheck, rows[:, 0], rows[:, 1], rows[:, 2], ts)
     trace = rows.sum(axis=1)
     drift = margins / (1.0 + np.abs(trace))
-    return float(drift.min()), len(ts), traj.stats, traj.terminal.kind
+    return float(drift.min()), len(ts)
 
 
 def check_invariance(
@@ -418,26 +427,14 @@ def check_invariance(
         raise ValueError("horizon must be positive")
     if samples <= 0:
         raise ValueError("samples must be positive")
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
-    cfg = config or IntegratorConfig()
+    validate_tol(tol)
     eff_recheck = recheck or spec
     band = 100.0 * tol
     states = sample_set(spec, 0.0, samples, seed, band=band)
-    results = [
-        _drift_one(state, spec, eff_recheck, horizon, cfg) for state in states
-    ]
-
-    worst = math.inf
-    worst_idx = -1
-    points = 0
-    for i, (drift, npts, _, _) in enumerate(results):
-        points += npts
-        if drift < worst:
-            worst = drift
-            worst_idx = i
-    work_done = _work_counters((stats, kind) for _, _, stats, kind in results)
-    claimed = invariance_is_claimed(spec) and recheck is None
+    lanes, work_done = _run_lanes(
+        states, spec.params, horizon, config, lambda i, traj: _drift(traj, eff_recheck)
+    )
+    worst, violating = _worst_lane([drift for drift, _ in lanes], tol)
     return InvarianceReport(
         spec=spec,
         samples=samples,
@@ -446,11 +443,11 @@ def check_invariance(
         band=band,
         tol=tol,
         worst_drift=worst,
-        violating_seed=worst_idx if worst < -tol else None,
+        violating_seed=violating,
         blowups=work_done["terminal_kinds"].get(BLOWUP, 0),
-        checkpoints=points,
+        checkpoints=sum(points for _, points in lanes),
         **work_done,
-        claimed=claimed,
+        claimed=invariance_is_claimed(spec) and recheck is None,
         recheck_kind=eff_recheck.kind if recheck is not None else None,
     )
 
@@ -531,33 +528,19 @@ def check_estimate(
     )
     scalar_curv = 2.0 * rows.sum(axis=1)
     trig = smallest < 0.0
-    if not trig.any():
-        return EstimateReport(
-            variant=variant,
-            trajectory_id=trajectory_id,
-            worst_slack=math.inf,
-            trigger_times=(),
-            checkpoints=len(ts),
-            tol=tol,
-        )
     bound = estimate_rhs_array(variant, smallest[trig], params, ts[trig])
     slack = scalar_curv[trig] - bound
-    # contiguous triggered checkpoint runs -> closed time intervals
-    intervals = []
-    start = None
-    for i, on in enumerate(trig):
-        if on and start is None:
-            start = ts[i]
-        elif not on and start is not None:
-            intervals.append((float(start), float(ts[i - 1])))
-            start = None
-    if start is not None:
-        intervals.append((float(start), float(ts[-1])))
+    # contiguous triggered checkpoint runs -> closed time intervals: a run
+    # starts where the padded mask steps up and ends before it steps down
+    edges = np.diff(trig.astype(np.int8), prepend=0, append=0)
+    firsts, lasts = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
     return EstimateReport(
         variant=variant,
         trajectory_id=trajectory_id,
-        worst_slack=float(slack.min()),
-        trigger_times=tuple(intervals),
+        worst_slack=float(slack.min(initial=math.inf)),
+        trigger_times=tuple(
+            (float(ts[a]), float(ts[b])) for a, b in zip(firsts, lasts)
+        ),
         checkpoints=len(ts),
         tol=tol,
     )
@@ -624,30 +607,21 @@ def estimate_suite(
     validate_variant_params(variant, params)
     if count <= 0:
         raise ValueError("count must be positive")
-    if math.isnan(tol):
-        raise ValueError("tol must not be NaN")
-    cfg = config or IntegratorConfig()
+    validate_tol(tol)
     states = _estimate_initial_states(variant, count, seed)
 
-    worst = math.inf
-    worst_idx = -1
-    coverage = math.inf
-    reports = []
-    lanes = []
-    for i, state in enumerate(states):
-        traj = integrate(state, params, 0.0, t_end, cfg)
+    def lane(i: int, traj: Trajectory) -> tuple[EstimateReport, float]:
         rep = check_estimate(traj, variant, params, tol, trajectory_id=str(i))
-        reports.append(rep)
-        lanes.append((traj.stats, traj.terminal.kind))
-        if traj.terminal.kind == BLOWUP:
-            t_last = traj.t_last
-            trace_last = float(traj.states_array[-1].sum())
-            remaining = 3.0 / (4.0 * (1.0 - 3.0 * params.rho) * trace_last)
-            coverage = min(coverage, t_last / (t_last + remaining))
-        if rep.worst_slack < worst:
-            worst = rep.worst_slack
-            worst_idx = i
-    work_done = _work_counters(lanes)
+        if traj.terminal.kind != BLOWUP:
+            return rep, math.inf
+        trace_last = float(traj.states_array[-1].sum())
+        remaining = 3.0 / (4.0 * (1.0 - 3.0 * params.rho) * trace_last)
+        return rep, traj.t_last / (traj.t_last + remaining)
+
+    lanes, work_done = _run_lanes(states, params, t_end, config, lane)
+    reports = tuple(rep for rep, _ in lanes)
+    worst, violating = _worst_lane([rep.worst_slack for rep in reports], tol)
+    coverage = min(cover for _, cover in lanes)
     blowups = work_done["terminal_kinds"].get(BLOWUP, 0)
     return EstimateSuiteReport(
         variant=variant,
@@ -656,11 +630,11 @@ def estimate_suite(
         seed=seed,
         tol=tol,
         worst_slack=worst,
-        violating_seed=worst_idx if worst < -tol else None,
+        violating_seed=violating,
         blowups=blowups,
         min_coverage=coverage if blowups else 0.0,
         **work_done,
-        reports=tuple(reports),
+        reports=reports,
     )
 
 
@@ -779,21 +753,15 @@ def deriv_suite(
     counts the central-difference points behind the verdict."""
     if trajectories <= 0:
         raise ValueError("trajectories must be positive")
-    cfg = config or IntegratorConfig()
     states = _deriv_initial_states(quantity, trajectories, seed)
-    worst_h = 0.0
-    worst_h2 = 0.0
-    worst_idx = None
-    checkpoints = 0
-    for i, state in enumerate(states):
-        traj = integrate(state, params, 0.0, t_end, cfg)
-        rep = derivative_consistency(traj, quantity, params, h)
-        rep2 = derivative_consistency(traj, quantity, params, h / 2)
-        if rep.max_discrepancy > worst_h:
-            worst_h = rep.max_discrepancy
-            worst_idx = i
-        worst_h2 = max(worst_h2, rep2.max_discrepancy)
-        checkpoints += rep.checkpoints + rep2.checkpoints
+    lanes, _ = _run_lanes(
+        states, params, t_end, config,
+        lambda i, traj: (derivative_consistency(traj, quantity, params, h),
+                         derivative_consistency(traj, quantity, params, h / 2)),
+    )
+    at_h = [rep.max_discrepancy for rep, _ in lanes]
+    worst_h = max(at_h)
+    worst_h2 = max(rep2.max_discrepancy for _, rep2 in lanes)
     ratio = worst_h / worst_h2 if worst_h2 > 0 else math.inf
     return DerivSuiteReport(
         quantity=quantity,
@@ -804,6 +772,6 @@ def deriv_suite(
         max_discrepancy=worst_h,
         max_discrepancy_half_h=worst_h2,
         decay_ratio=ratio,
-        worst_trajectory=worst_idx,
-        checkpoints=checkpoints,
+        worst_trajectory=at_h.index(worst_h) if worst_h > 0 else None,
+        checkpoints=sum(rep.checkpoints + rep2.checkpoints for rep, rep2 in lanes),
     )

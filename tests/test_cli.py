@@ -203,6 +203,29 @@ def test_run_that_checks_nothing_is_usage_error(case, tmp_path, capsys):
 
 
 
+BAD_TOL_RUNS = {
+    "scan": ["scan", "--kind", "i-poly", "--rho", "0.1", "--resolution", "20"],
+    "verify-set": ["verify-set", "--set", "K", "--rho", "0.1", "--samples", "3"],
+    "verify-estimate": ["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1",
+                        "--count", "2"],
+    "deriv-check": ["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
+                    "--trajectories", "2"],
+}
+
+
+@pytest.mark.parametrize("tol", ["inf", "-1"])
+@pytest.mark.parametrize("command", list(BAD_TOL_RUNS))
+def test_tol_must_be_finite_and_nonnegative(command, tol, tmp_path, capsys):
+    # an infinite tol passed every verdict and a negative one failed
+    # runs that hold
+    out = tmp_path / "never.json"
+    assert run(BAD_TOL_RUNS[command] + ["--tol", tol, "--out", out]) == 2
+    assert capsys.readouterr().err == (
+        f"error: tol must be finite and >= 0, got {float(tol)!r}\n"
+    )
+    assert not out.exists()
+
+
 def test_verify_estimate_cli(tmp_path):
     out = tmp_path / "est.json"
     code = run(["verify-estimate", "--variant", "neg-rho-scalar", "--rho", "-1",
@@ -265,14 +288,17 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     cfg.write_text(json.dumps({"settings": {}}))
     assert run(["scan", "--config", cfg, "--kind", "j-neg-trace"]) == 2
     assert "settings" in capsys.readouterr().err
+    # the isotropic equality states are always injected: no key skips them
+    cfg.write_text(json.dumps({"command": {"samples": 10, "inject": False}}))
+    assert run(["scan", "--config", cfg, "--kind", "trace-bound", "--rho", "0"]) == 2
+    assert capsys.readouterr().err.startswith(
+        "error: unknown keys ['inject'] in config section 'command'"
+    )
 
 
 WRONG_TYPES = {
     "command.samples": ("verify-set", {"command": {"set": "X", "samples": [3]}}),
     "command.scan_times": ("scan", {"command": {"kind": "xi-prime", "scan_times": 0.5}}),
-    "command.inject": (
-        "scan", {"command": {"kind": "trace-bound", "samples": 10, "inject": "false"}}
-    ),
     "params.rho": ("scan", {"params": {"rho": [1]}, "command": {"kind": "i-poly"}}),
     "integrator.max_steps": (
         "simulate",

@@ -25,9 +25,10 @@ from pinchlab import (
     invariance_is_claimed,
     scan_inequality,
 )
+from pinchlab import verifier
 from pinchlab.cone_sets import sample_set
 from pinchlab.pinch_functions import estimate_rhs_array
-from pinchlab.verifier import _deriv_initial_states, _drift_one, _estimate_initial_states
+from pinchlab.verifier import _deriv_initial_states, _drift, _estimate_initial_states
 
 P_NEG = FlowParams(rho=-1.0)
 
@@ -42,7 +43,7 @@ def test_j_scan_holds_at_modest_resolution():
     assert rep.points_checked > 0
     assert rep.mode == "grid"
     # the argmin lives on the sup-norm unit slice
-    assert rep.argmin_state.sup_norm == pytest.approx(1.0)
+    assert max(map(abs, rep.argmin_state.as_tuple())) == pytest.approx(1.0)
 
 
 def test_j_nonneg_scan_min_is_small_but_clean():
@@ -184,9 +185,10 @@ def test_invariance_is_order_independent():
     spec = SetSpec(SetKind.TRACE_POSITIVE_RICCI_LOG, P_NEG)
     rep = check_invariance(spec, samples=10, horizon=0.03, seed=7)
     states = sample_set(spec, 0.0, 10, 7, band=rep.band)
-    lanes = [_drift_one(s, spec, spec, 0.03, IntegratorConfig()) for s in states[::-1]]
-    assert rep.worst_drift == min(drift for drift, _, _, _ in lanes)
-    assert rep.checkpoints == sum(points for _, points, _, _ in lanes)
+    lanes = [_drift(integrate(s, spec.params, 0.0, 0.03, IntegratorConfig()), spec)
+             for s in states[::-1]]
+    assert rep.worst_drift == min(drift for drift, _ in lanes)
+    assert rep.checkpoints == sum(points for _, points in lanes)
     assert rep == check_invariance(spec, samples=10, horizon=0.03, seed=7)
 
 
@@ -238,8 +240,43 @@ def test_estimate_slack_zero_at_equality_start():
     traj = integrate(EigenTriple(-1.0, -1.0, -1.0), p, 0.0, 0.5)
     rep = check_estimate(traj, EstimateVariant.NONNEG_RHO, p)
     assert rep.worst_slack >= -1e-8
-    assert rep.trigger_times
-    assert rep.trigger_times[0][0] == 0.0
+    # the trigger holds over the whole window, up to its last checkpoint
+    assert rep.trigger_times == ((0.0, 0.5),)
+
+
+# (worst_slack, trigger_times) of every per-trajectory report of
+# estimate_suite(count=6, seed=0), recorded before the triggered runs
+# were read from one np.diff
+TRIGGER_PINS = {
+    EstimateVariant.NEG_RHO_SCALAR: (FlowParams(rho=-1.0), (
+        (math.inf, ()), (math.inf, ()), (math.inf, ()), (math.inf, ()),
+        (3.272179795867291, ((0.0, 0.10527079401107801),)),
+        (math.inf, ()),
+    )),
+    EstimateVariant.NEG_RHO_SECTIONAL: (FlowParams(rho=-0.5, eta=1.0), (
+        (math.inf, ()),
+        (6.62440103086892, ((0.0, 0.005451769183100636),)),
+        (10.849977060854677, ((0.0, 0.05644376197682973),)),
+        (math.inf, ()),
+        (6.05065654878331, ((0.0, 0.09290905280581306),)),
+        (math.inf, ()),
+    )),
+    EstimateVariant.NONNEG_RHO: (FlowParams(rho=0.1), (
+        (6.186054550319411, ((0.0, 0.010506146901429148),)),
+        (4.271739823223293, ((0.0, 0.129782745322265),)),
+        (6.68317865384882, ((0.0, 0.21372060101726648),)),
+        (math.inf, ()),
+        (4.53323921838102, ((0.0, 0.5666842409301712),)),
+        (5.2903107941045615, ((0.0, 0.1545922994554978),)),
+    )),
+}
+
+
+@pytest.mark.parametrize("variant", list(TRIGGER_PINS), ids=lambda v: v.value)
+def test_estimate_trigger_intervals_are_pinned(variant):
+    params, want = TRIGGER_PINS[variant]
+    suite = estimate_suite(variant, params, count=6, seed=0)
+    assert tuple((r.worst_slack, r.trigger_times) for r in suite.reports) == want
 
 
 def test_estimate_untriggered_is_vacuous():
@@ -307,22 +344,30 @@ def test_grid_scan_rejects_a_non_finite_scan_time(scan_time):
 
 
 NAN_TOL_RUNS = {
-    "grid scan": lambda: scan_inequality(
-        InequalityKind.J_NEG_TRACE, P_NEG, resolution=10, tol=math.nan),
-    "random scan": lambda: scan_inequality(
-        InequalityKind.TRACE_BOUND, FlowParams(rho=0.0), samples=10, tol=math.nan),
-    "invariance": lambda: check_invariance(
-        SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), 1, 0.01, 0, tol=math.nan),
-    "estimate suite": lambda: estimate_suite(
-        EstimateVariant.NEG_RHO_SCALAR, P_NEG, count=1, seed=0, tol=math.nan),
+    "grid scan": lambda tol: scan_inequality(
+        InequalityKind.J_NEG_TRACE, P_NEG, resolution=10, tol=tol),
+    "random scan": lambda tol: scan_inequality(
+        InequalityKind.TRACE_BOUND, FlowParams(rho=0.0), samples=10, tol=tol),
+    "invariance": lambda tol: check_invariance(
+        SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), 1, 0.01, 0, tol=tol),
+    "estimate suite": lambda tol: estimate_suite(
+        EstimateVariant.NEG_RHO_SCALAR, P_NEG, count=1, seed=0, tol=tol),
 }
 
 
-@pytest.mark.parametrize("run", list(NAN_TOL_RUNS))
-def test_nan_tol_is_rejected_not_a_pass(run):
-    # every comparison with NaN is False, so a NaN tol would count no violation
-    with pytest.raises(ValueError, match="^tol must"):
-        NAN_TOL_RUNS[run]()
+BAD_TOLS = [pytest.param(run, math.nan, id=run) for run in NAN_TOL_RUNS] + [
+    pytest.param(run, tol, id=f"{run} tol={tol}")
+    for run in NAN_TOL_RUNS for tol in (math.inf, -1.0)
+]
+
+
+@pytest.mark.parametrize("run, tol", BAD_TOLS)
+def test_nan_tol_is_rejected_not_a_pass(run, tol):
+    # every comparison with NaN is False, so a NaN tol would count no
+    # violation; an infinite tol forgives every one and a negative tol
+    # fails runs that hold
+    with pytest.raises(ValueError, match="^tol must be finite and >= 0"):
+        NAN_TOL_RUNS[run](tol)
 
 
 # ------------------------------------------- parameter windows, checked once
@@ -467,6 +512,27 @@ def test_deriv_suite_reports_worst_trajectory_and_work():
     ]
     assert rep.worst_trajectory == int(np.argmax(per_traj))
     assert rep.max_discrepancy == per_traj[rep.worst_trajectory]
+
+
+def test_each_suite_keeps_its_worst_lane_rule(monkeypatch):
+    # invariance names the first strictly lowest drift below -tol, and
+    # none when no drift is below inf; deriv-check names a trajectory
+    # only when its discrepancy is above 0
+    spec = SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG)
+    for drifts, want in [
+        ([0.5, -2.0, -2.0, -1.0], (-2.0, 1)),
+        ([0.5, 1e-9, 0.25, 0.5], (1e-9, None)),
+        ([math.inf] * 4, (math.inf, None)),
+    ]:
+        scores = iter(drifts)
+        monkeypatch.setattr(verifier, "_drift", lambda traj, recheck: (next(scores), 1))
+        rep = check_invariance(spec, samples=4, horizon=0.01, seed=0)
+        assert (rep.worst_drift, rep.violating_seed) == want
+
+    flat = verifier.DerivReport(QuantityKind.LAMBDA_PINCH, 1e-4, 0.0, 33)
+    monkeypatch.setattr(verifier, "derivative_consistency", lambda *args: flat)
+    rep = deriv_suite(QuantityKind.LAMBDA_PINCH, P_NEG, trajectories=3)
+    assert (rep.max_discrepancy, rep.worst_trajectory) == (0.0, None)
 
 
 @pytest.mark.parametrize("quantity", [QuantityKind.LAMBDA_PINCH, QuantityKind.XI_PINCH])
