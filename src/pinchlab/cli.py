@@ -10,7 +10,8 @@ are errors; ``command`` keys are checked per subcommand.  The fully
 resolved configuration is echoed into every output.
 
 Exit codes: 0 success, 1 verification failure (violations or negative
-slack beyond tolerance on a claimed check), 2 usage/config errors.
+slack beyond tolerance on a claimed check, or a lane of one that stopped
+at the step limit), 2 usage/config errors.
 Observation runs (claimed=false in the report) exit 0 regardless of
 drift, because no established claim was tested.
 
@@ -40,7 +41,7 @@ from . import __version__
 from .cone_sets import SetKind, SetSpec, margin_array
 from .eigen_ode import EigenTriple, FlowParams
 from .errors import DomainError, SamplingExhausted
-from .integrator import IntegratorConfig, Trajectory, integrate, standard_trigger_events
+from .integrator import STEP_LIMIT, IntegratorConfig, Trajectory, integrate, standard_trigger_events
 from .pinch_functions import EstimateVariant
 from .verifier import (
     InequalityKind,
@@ -342,6 +343,11 @@ def _cmd_simulate(opts: dict) -> int:
     except (ValueError, DomainError) as exc:
         raise _UsageError(f"bad --state {cmd['state']!r}: {exc}")
     t0, t_end = cmd["t0"], cmd["t_end"]
+    # every region clock and trigger time factor is stated for t >= 0
+    if t0 < 0:
+        raise _UsageError(f"--t0 must be >= 0, got {t0}")
+    if points < 2:
+        raise _UsageError("points must be >= 2")
     meta = _base_meta(opts, "simulate", params, cfg)
     meta["state0"] = state.as_tuple()
     meta["t0"], meta["t_end"], meta["points"] = t0, t_end, points
@@ -382,7 +388,8 @@ def _cmd_verify_set(opts: dict) -> int:
     meta["prng"] = _PRNG
     meta["drift_normalization"] = "margin / (1 + |trace|)"
     _write(opts, meta, report)
-    return 1 if report.claimed and report.worst_drift < -report.tol else 0
+    failed = report.worst_drift < -report.tol or STEP_LIMIT in report.terminal_kinds
+    return 1 if report.claimed and failed else 0
 
 
 def _cmd_verify_estimate(opts: dict) -> int:
@@ -394,7 +401,8 @@ def _cmd_verify_estimate(opts: dict) -> int:
     worst = report.violating_seed
     worst_times = None if worst is None else report.reports[worst].trigger_times
     _write(opts, meta, {**_jsonify(report), "trigger_times_worst": worst_times})
-    return 1 if report.worst_slack < -report.tol else 0
+    # a lane that stopped at the step limit was not checked up to its horizon
+    return 1 if report.worst_slack < -report.tol or STEP_LIMIT in report.terminal_kinds else 0
 
 
 def _cmd_deriv_check(opts: dict) -> int:

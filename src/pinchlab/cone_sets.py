@@ -111,7 +111,7 @@ def _check_time(t) -> None:
     K and Y have 1 + eta*rho > 0."""
     t = np.asarray(t)
     if np.any(t < 0):
-        raise DomainError(f"membership time must be >= 0, got {t}")
+        raise DomainError(f"membership time must be >= 0, got {t[t < 0].min()}")
 
 
 def constraint_margins(spec: SetSpec, lam, mu, nu, t=0.0):

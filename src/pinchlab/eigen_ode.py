@@ -162,7 +162,8 @@ def rhs_array(l, m, n, rho: float):
     Evaluated in one pass with no reordering; the system preserves the
     eigenvalue ordering on its own (differences of consecutive
     derivatives factor through differences of consecutive eigenvalues).
-    The integrator inlines this; keep in step.
+    The integrator's stages evaluate it, so its operand order fixes
+    every trajectory bit for bit.
     """
     t4 = 4.0 * rho * (l + m + n)
     return (

@@ -17,14 +17,16 @@ follows in a few hundred steps instead of about 80 steps per decade of
 The stepper is the Dormand-Prince 5(4) pair on z = (u, l, t): the
 fifth-order solution is propagated, the embedded fourth-order solution
 drives the error estimate, and the first-same-as-last property saves one
-derivative evaluation per step.  The error norm is the RMS over the five
-components, each scaled by its own tolerance: abs_tol + rel_tol *
-max(|u_i|, |u1_i|) for u, rel_tol for l (an error in l is a relative
-error in y), and abs_tol + rel_tol * max(|t|, |t1|) for t.  Step sizes
-in s follow a proportional-integral controller (alpha = 0.7/5, beta =
-0.4/5, safety 0.9, factors clamped to [0.2, 10]).  Each accepted step
-keeps its stage derivatives; when the trajectory ends, the quartic dense
-interpolant of Shampine for the pair is formed for all steps at once.
+derivative evaluation per step.  Every stage takes F from
+``eigen_ode.rhs_array`` through ``_projected``.  The error norm is the
+RMS over the five components, each scaled by its own tolerance: abs_tol
++ rel_tol * max(|u_i|, |u1_i|) for u, rel_tol for l (an error in l is a
+relative error in y), and abs_tol + rel_tol * max(|t|, |t1|) for t.
+Step sizes in s follow a proportional-integral controller (alpha =
+0.7/5, beta = 0.4/5, safety 0.9, factors clamped to [0.2, 10]).  Each
+accepted step keeps its stage derivatives; when the trajectory ends,
+the quartic dense interpolant of Shampine for the pair is formed for all
+steps at once.
 
 The clock t is the one component whose quadrature would decide the
 result: near blow-up e^(-l) decays by a factor e^rise over a step, the
@@ -81,7 +83,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .eigen_ode import EigenTriple, FlowParams
+from .eigen_ode import EigenTriple, FlowParams, rhs_array
 from .errors import DomainError, OutOfRange
 
 __all__ = [
@@ -344,6 +346,21 @@ def _dense_weights(starts: np.ndarray, hs: np.ndarray, stages: np.ndarray) -> np
     return out
 
 
+def _step_weights(start, h, step) -> np.ndarray:
+    """``_dense_weights`` of one step: its start (u, l, A), its size in s
+    and its 30 stage values, k1, k3..k7 in turn."""
+    return _dense_weights(np.array([start]), np.array([h]), np.array(step).reshape(1, 6, 5))
+
+
+def _projected(l, m, n, rho):
+    """The projected field k = F(u) - g u at u = (l, m, n) and the l-rate
+    g = <u, F(u)>/|u|^2, with F = eigen_ode.rhs_array: (kl, km, kn, g).
+    Raises ZeroDivisionError at u = 0."""
+    fl, fm, fn = rhs_array(l, m, n, rho)
+    g = (l * fl + m * fm + n * fn) / (l * l + m * m + n * n)
+    return fl - g * l, fm - g * m, fn - g * n, g
+
+
 def _locate_event(g, g0, t_lo, t_hi, q) -> float:
     """Bisect the sign change of ``g`` across the step [t_lo, t_hi] in
     sigma on its coefficients ``q`` (5 rows of 5) to 1e-10 in t."""
@@ -355,9 +372,7 @@ def _locate_event(g, g0, t_lo, t_hi, q) -> float:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break
-        ul, um, un = (
-            c[0] + mid * (c[1] + mid * (c[2] + mid * (c[3] + mid * c[4]))) for c in q[:3]
-        )
+        ul, um, un = (_horner(c, mid) for c in q[:3])
         # the clock of Trajectory.dense: sigma D(sigma) - A expm1(l0 - l)
         dl = mid * (l1 + mid * (l2 + mid * (l3 + mid * l4)))
         tm = t0 + (mid * (d1 + mid * (d2 + mid * (d3 + mid * d4))) - amp * math.expm1(-dl))
@@ -430,17 +445,9 @@ def integrate(
     recs: list[EventRecord] = []
     ev_last = [g(t, *y0) for _, g in events]
 
-    # The reaction field of eigen_ode.rhs_array is written out at each stage,
-    # with the same operand order, then projected: k = F(u) - g u with
-    # the l-rate g = <u, F(u)>/|u|^2.
-    rho4 = 4.0 * params.rho
-    t4 = rho4 * (ul + um + un)
-    fl = 2.0 * ul * ul + 2.0 * um * un - t4 * ul
-    fm = 2.0 * um * um + 2.0 * ul * un - t4 * um
-    fn = 2.0 * un * un + 2.0 * ul * um - t4 * un
-    g1 = (ul * fl + um * fm + un * fn) / (ul * ul + um * um + un * un)
-    k1l, k1m, k1n = fl - g1 * ul, fm - g1 * um, fn - g1 * un
-    h = _initial_step((ul, um, un), (fl, fm, fn))
+    rho = params.rho
+    k1l, k1m, k1n, g1 = _projected(ul, um, un, rho)
+    h = _initial_step((ul, um, un), rhs_array(ul, um, un, rho))
     err_prev = 1e-4
     terminal = None
     landing = False  # this attempt was sized to end on t_end
@@ -458,70 +465,37 @@ def integrate(
                     h, landing = hc, dt == t_end - t
         try:
             ha = h * _A21
-            al = ul + ha * k1l
-            am = um + ha * k1m
-            an = un + ha * k1n
-            t4 = rho4 * (al + am + an)
-            fl = 2.0 * al * al + 2.0 * am * an - t4 * al
-            fm = 2.0 * am * am + 2.0 * al * an - t4 * am
-            fn = 2.0 * an * an + 2.0 * al * am - t4 * an
-            g2 = (al * fl + am * fm + an * fn) / (al * al + am * am + an * an)
-            k2l, k2m, k2n = fl - g2 * al, fm - g2 * am, fn - g2 * an
+            k2l, k2m, k2n, g2 = _projected(ul + ha * k1l, um + ha * k1m, un + ha * k1n, rho)
 
             al = ul + h * (_A31 * k1l + _A32 * k2l)
             am = um + h * (_A31 * k1m + _A32 * k2m)
             an = un + h * (_A31 * k1n + _A32 * k2n)
-            t4 = rho4 * (al + am + an)
-            fl = 2.0 * al * al + 2.0 * am * an - t4 * al
-            fm = 2.0 * am * am + 2.0 * al * an - t4 * am
-            fn = 2.0 * an * an + 2.0 * al * am - t4 * an
-            g3 = (al * fl + am * fm + an * fn) / (al * al + am * am + an * an)
-            k3l, k3m, k3n = fl - g3 * al, fm - g3 * am, fn - g3 * an
+            k3l, k3m, k3n, g3 = _projected(al, am, an, rho)
             e3 = exp(-h * (_A31 * g1 + _A32 * g2))
 
             al = ul + h * (_A41 * k1l + _A42 * k2l + _A43 * k3l)
             am = um + h * (_A41 * k1m + _A42 * k2m + _A43 * k3m)
             an = un + h * (_A41 * k1n + _A42 * k2n + _A43 * k3n)
-            t4 = rho4 * (al + am + an)
-            fl = 2.0 * al * al + 2.0 * am * an - t4 * al
-            fm = 2.0 * am * am + 2.0 * al * an - t4 * am
-            fn = 2.0 * an * an + 2.0 * al * am - t4 * an
-            g4 = (al * fl + am * fm + an * fn) / (al * al + am * am + an * an)
-            k4l, k4m, k4n = fl - g4 * al, fm - g4 * am, fn - g4 * an
+            k4l, k4m, k4n, g4 = _projected(al, am, an, rho)
             e4 = exp(-h * (_A41 * g1 + _A42 * g2 + _A43 * g3))
 
             al = ul + h * (_A51 * k1l + _A52 * k2l + _A53 * k3l + _A54 * k4l)
             am = um + h * (_A51 * k1m + _A52 * k2m + _A53 * k3m + _A54 * k4m)
             an = un + h * (_A51 * k1n + _A52 * k2n + _A53 * k3n + _A54 * k4n)
-            t4 = rho4 * (al + am + an)
-            fl = 2.0 * al * al + 2.0 * am * an - t4 * al
-            fm = 2.0 * am * am + 2.0 * al * an - t4 * am
-            fn = 2.0 * an * an + 2.0 * al * am - t4 * an
-            g5 = (al * fl + am * fm + an * fn) / (al * al + am * am + an * an)
-            k5l, k5m, k5n = fl - g5 * al, fm - g5 * am, fn - g5 * an
+            k5l, k5m, k5n, g5 = _projected(al, am, an, rho)
             e5 = exp(-h * (_A51 * g1 + _A52 * g2 + _A53 * g3 + _A54 * g4))
 
             al = ul + h * (_A61 * k1l + _A62 * k2l + _A63 * k3l + _A64 * k4l + _A65 * k5l)
             am = um + h * (_A61 * k1m + _A62 * k2m + _A63 * k3m + _A64 * k4m + _A65 * k5m)
             an = un + h * (_A61 * k1n + _A62 * k2n + _A63 * k3n + _A64 * k4n + _A65 * k5n)
-            t4 = rho4 * (al + am + an)
-            fl = 2.0 * al * al + 2.0 * am * an - t4 * al
-            fm = 2.0 * am * am + 2.0 * al * an - t4 * am
-            fn = 2.0 * an * an + 2.0 * al * am - t4 * an
-            g6 = (al * fl + am * fm + an * fn) / (al * al + am * am + an * an)
-            k6l, k6m, k6n = fl - g6 * al, fm - g6 * am, fn - g6 * an
+            k6l, k6m, k6n, g6 = _projected(al, am, an, rho)
             e6 = exp(-h * (_A61 * g1 + _A62 * g2 + _A63 * g3 + _A64 * g4 + _A65 * g5))
 
             u1l = ul + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l + _B5 * k5l + _B6 * k6l)
             u1m = um + h * (_B1 * k1m + _B3 * k3m + _B4 * k4m + _B5 * k5m + _B6 * k6m)
             u1n = un + h * (_B1 * k1n + _B3 * k3n + _B4 * k4n + _B5 * k5n + _B6 * k6n)
             rise = h * (_B1 * g1 + _B3 * g3 + _B4 * g4 + _B5 * g5 + _B6 * g6)
-            t4 = rho4 * (u1l + u1m + u1n)
-            fl = 2.0 * u1l * u1l + 2.0 * u1m * u1n - t4 * u1l
-            fm = 2.0 * u1m * u1m + 2.0 * u1l * u1n - t4 * u1m
-            fn = 2.0 * u1n * u1n + 2.0 * u1l * u1m - t4 * u1n
-            g7 = (u1l * fl + u1m * fm + u1n * fn) / (u1l * u1l + u1m * u1m + u1n * u1n)
-            k7l, k7m, k7n = fl - g7 * u1l, fm - g7 * u1m, fn - g7 * u1n
+            k7l, k7m, k7n, g7 = _projected(u1l, u1m, u1n, rho)
             e7 = exp(-rise)
             ell1 = ell + rise
             scale1 = exp(ell1)
@@ -590,10 +564,7 @@ def integrate(
             # retry at the sigma where this step's clock reaches t_end, or
             # 0.9 of the max_step cap
             landing = t_end - t <= max_step
-            c = _dense_weights(
-                np.array([[ul, um, un, ell, amp]]), np.array([h]),
-                np.array(step).reshape(1, 6, 5),
-            ).transpose(2, 1, 0)
+            c = _step_weights((ul, um, un, ell, amp), h, step).transpose(2, 1, 0)
             target = t_end if landing else t + _SAFETY * max_step
             h *= float(_sigma_at(c, 0.0, t1 - t, target - t)[0])
             nreject += 1
@@ -620,10 +591,7 @@ def integrate(
                     and g0 != 0.0 and (g0 < 0.0) != (gv < 0.0)
                 ):
                     if q is None:
-                        q = _dense_weights(
-                            np.array([starts[-5:]]), np.array(hs[-1:]),
-                            np.array(stages[-30:]).reshape(1, 6, 5),
-                        )[0].tolist()
+                        q = _step_weights(starts[-5:], hs[-1], stages[-30:])[0].tolist()
                     recs.append(EventRecord(
                         name, _locate_event(g, g0, t, t1, q), +1 if gv > g0 else -1,
                     ))

@@ -64,6 +64,19 @@ def test_simulate_backward_span_is_usage_error(tmp_path, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("rho, t0", [(-0.5, -1.0), (-1.0, -3.0)])
+def test_simulate_negative_t0_is_usage_error(rho, t0, tmp_path, capsys):
+    # the region clocks and trigger time factors are stated for t >= 0:
+    # at -1 the nu trigger divided by zero after integrating, and at -3
+    # the margins refused every checkpoint time
+    out = tmp_path / "x.csv"
+    code = run(["simulate", "--state", "1,0,-1", "--rho", rho, "--eta", "1", "--t0", t0,
+                "--t-end", "0.1", "--out", out])
+    assert code == 2
+    assert capsys.readouterr().err == f"error: --t0 must be >= 0, got {t0}\n"
+    assert not out.exists()
+
+
 def test_simulate_rejects_unordered_state(tmp_path, capsys):
     code = run(["simulate", "--state", "0,1,2", "--rho", "0", "--t-end", "0.1",
                 "--out", tmp_path / "x.csv"])
@@ -183,22 +196,28 @@ def test_verify_set_recheck_is_observation(tmp_path):
 
 # --------------------------------------------------- verify-estimate / deriv
 
+SIMULATE = ["simulate", "--state", "1,0,-1", "--rho", "0", "--t-end", "0.1"]
 EMPTY_RUNS = {
-    "count": ["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1", "--count", "0"],
-    "count (negative)": ["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1",
-                         "--count", "-3"],
-    "trajectories": ["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
-                     "--trajectories", "0"],
-    "samples": ["scan", "--kind", "trace-bound", "--rho", "0", "--samples", "0"],
+    "count": (["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1", "--count", "0"],
+              "count must be positive"),
+    "count (negative)": (["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1",
+                          "--count", "-3"], "count must be positive"),
+    "trajectories": (["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
+                      "--trajectories", "0"], "trajectories must be positive"),
+    "samples": (["scan", "--kind", "trace-bound", "--rho", "0", "--samples", "0"],
+                "samples must be positive"),
+    # no rows at all, or a numpy error about the sample count
+    "points": (SIMULATE + ["--points", "0"], "points must be >= 2"),
+    "points (negative)": (SIMULATE + ["--points", "-3"], "points must be >= 2"),
 }
 
 
 @pytest.mark.parametrize("case", list(EMPTY_RUNS))
 def test_run_that_checks_nothing_is_usage_error(case, tmp_path, capsys):
+    args, message = EMPTY_RUNS[case]
     out = tmp_path / "never.json"
-    assert run(EMPTY_RUNS[case] + ["--out", out]) == 2
-    argument = case.split()[0]
-    assert capsys.readouterr().err == f"error: {argument} must be positive\n"
+    assert run(args + ["--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
     assert not out.exists()
 
 
@@ -224,6 +243,25 @@ def test_tol_must_be_finite_and_nonnegative(command, tol, tmp_path, capsys):
         f"error: tol must be finite and >= 0, got {float(tol)!r}\n"
     )
     assert not out.exists()
+
+
+def test_verify_set_claim_with_step_limited_lanes_fails(tmp_path):
+    # a lane stopped at the step limit was not checked up to the horizon
+    args = ["verify-set", "--set", "K", "--samples", "3", "--max-steps", "1"]
+    assert run(args + ["--rho", "0.1", "--out", tmp_path / "k.json"]) == 1
+    doc = json.loads((tmp_path / "k.json").read_text())
+    assert doc["report"]["claimed"] is True
+    assert doc["report"]["terminal_kinds"] == {"step_limit": 3}
+    # an observation run states no claim and still exits 0
+    assert run(args + ["--rho", "-0.5", "--eta", "1", "--recheck-set", "K",
+                       "--out", tmp_path / "obs.json"]) == 0
+
+
+def test_verify_estimate_with_step_limited_lanes_fails(tmp_path):
+    out = tmp_path / "est.json"
+    assert run(["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1", "--count", "2",
+                "--max-steps", "3", "--out", out]) == 1
+    assert json.loads(out.read_text())["report"]["terminal_kinds"] == {"step_limit": 2}
 
 
 def test_verify_estimate_cli(tmp_path):

@@ -51,6 +51,13 @@ def test_time_factors():
     np.testing.assert_allclose(SPEC_Y.time_factor(ts), 1.0 + 2.0 * 0.5 * ts)
 
 
+def test_negative_time_names_the_smallest():
+    # a batch of checkpoint times is refused by its worst time, not dumped
+    ts = np.linspace(-3.0, 0.1, 201)
+    with pytest.raises(DomainError, match=r"must be >= 0, got -3\.0$"):
+        margin_array(SPEC_K, np.ones(201), np.zeros(201), -np.ones(201), ts)
+
+
 def test_membership_pins():
     r = membership(SPEC_X, EigenTriple(1.0, 1.0, 1.0))
     assert r.member

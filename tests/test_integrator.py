@@ -326,6 +326,23 @@ PINNED = {
         "0.002487541562707987", [],
         "25e00591aea4afca97259b599bc6ca9358a2340a1c5a5208e1a47491e13ee2eb",
     ),
+    # every one of the 21 rejections retries at 0.9 of the max_step cap
+    "max_step_retry": (
+        EigenTriple(1.0, 1.0, 1.0), P0, 0.2,
+        IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5, max_step=0.007), False,
+        (32, 21),
+        TerminalStatus(REACHED_END),
+        "0.2", [],
+        "3a8a9ac14f23dd6aea115d644a69a96f5f207c8c28beabea6bb85cc0f08de65a",
+    ),
+    # the rejection retries at the sigma where the clock reaches t_end
+    "t_end_overshoot": (
+        EigenTriple(2.0, -1.0, -1.5), FlowParams(rho=0.1), 0.2, None, False,
+        (95, 1),
+        TerminalStatus(REACHED_END),
+        "0.2", [],
+        "a209a0ee43c32f0f62be89f49dbbfbcaa83fe44107ab6e302756eb4aa37d7a80",
+    ),
 }
 
 
@@ -431,7 +448,7 @@ def test_lands_exactly_on_t_end():
     assert np.all(np.diff(traj.times) > 0.0)
 
 
-@pytest.mark.parametrize("y0", [(-0.5, -1.0, -1.5), (1.0, 0.5, -0.5)])
+@pytest.mark.parametrize("y0", [(-0.5, -1.0, -1.5), (1.0, 0.5, -0.5), (1.0, 1.0, 1.0)])
 def test_max_step_caps_every_increment(y0):
     for cap in (0.03, 0.007):
         cfg = IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5, max_step=cap)
