@@ -5,8 +5,9 @@ Subcommands: ``simulate``, ``scan``, ``verify-set``, ``verify-estimate``,
 config file (``--config``) with top-level sections ``params``,
 ``integrator``, ``command``, ``output``; explicit flags always override
 file values.  Each option is declared once, as an ``_Opt`` giving its
-flag, config key, type and default.  Unknown keys anywhere in the file
-are errors; ``command`` keys are checked per subcommand.  The fully
+flag, config key, type and default, and each subcommand takes exactly
+the options it reads: a flag it does not read is unrecognized, and a
+config key it does not read is an error in every section.  The fully
 resolved configuration is echoed into every output.
 
 Exit codes: 0 success, 1 verification failure (violations or negative
@@ -365,6 +366,18 @@ def _cmd_simulate(opts: dict) -> int:
 
 def _cmd_scan(opts: dict) -> int:
     cmd, params = opts["command"], FlowParams(**opts["params"])
+    # a given option that this mode or kind never reads would be echoed
+    # beside a verdict it did not shape
+    flag = {o.key: o.flag_name for o in _SUBCOMMANDS["scan"].opts}
+    if "seed" in cmd and "samples" not in cmd:
+        raise _UsageError(f"{flag['seed']} needs {flag['samples']}")
+    for key in ("resolution", "scan_times"):
+        if key in cmd and "samples" in cmd:
+            raise _UsageError(f"{flag[key]} cannot be used with {flag['samples']}")
+    if "scan_times" in cmd and cmd["kind"] is not InequalityKind.XI_PRIME:
+        raise _UsageError(
+            f"{flag['scan_times']} needs {flag['kind']} {InequalityKind.XI_PRIME.value}"
+        )
     # theta defaults to the claim's own where rho and eta are inside its
     # window; outside it the scan's window check reports
     if (cmd["kind"] is InequalityKind.XI_PRIME and "theta" not in opts["params"]
@@ -415,7 +428,8 @@ def _cmd_deriv_check(opts: dict) -> int:
     meta = _base_meta(opts, "deriv-check", params, cfg)
     meta["tol"] = tol
     _write(opts, meta, report)
-    return 1 if report.max_discrepancy > tol else 0
+    # a lane that stopped at the step limit was not checked up to t_end
+    return 1 if report.max_discrepancy > tol or STEP_LIMIT in report.terminal_kinds else 0
 
 
 def _cmd_plot(opts: dict) -> int:
@@ -490,33 +504,33 @@ def _dataclass_opts(section: str, cls: type) -> tuple[_Opt, ...]:
     )
 
 
-# every subcommand has these flags, in this order
-_SHARED = (
-    *_dataclass_opts("params", FlowParams),
-    _Opt("out", str, section="output"),
-    _Opt("format", str, section="output", kw={"choices": ("json", "text")}),
-    _Opt("stamp", bool, False, "include a wall-clock timestamp in output metadata",
-         section="output", kw={"action": "store_const", "const": True}),
-    *_dataclass_opts("integrator", IntegratorConfig),
-)
+# the option groups a subcommand takes whole or in part
+_PARAMS = _dataclass_opts("params", FlowParams)
+_INTEGRATOR = _dataclass_opts("integrator", IntegratorConfig)
+_OUT = _Opt("out", str, section="output")
 _OUT_REQUIRED = _Opt("out", str, _REQUIRED, section="output")
+_FORMAT = _Opt("format", str, section="output", kw={"choices": ("json", "text")})
+_STAMP = _Opt("stamp", bool, False, "include a wall-clock timestamp in output metadata",
+              section="output", kw={"action": "store_const", "const": True})
+_REPORT = (_OUT, _FORMAT, _STAMP)
 
 
 class _Subcommand(NamedTuple):
     run: Callable[[dict], int]
-    opts: tuple[_Opt, ...]  # its own, and shared ones it declares anew
+    opts: tuple[_Opt, ...]  # exactly the options ``run`` reads, in --help order
     help: str
 
 
 _SUBCOMMANDS = {
     "simulate": _Subcommand(_cmd_simulate, (
-        _OUT_REQUIRED,
+        *_PARAMS, _OUT_REQUIRED, _STAMP, *_INTEGRATOR,
         _Opt("state", str, _REQUIRED, "lam,mu,nu (ordered)"),
         _Opt("t0", float, 0.0),
         _Opt("t_end", float, _REQUIRED),
         _Opt("points", int, 201, section="output"),
     ), "integrate one state, write CSV"),
     "scan": _Subcommand(_cmd_scan, (
+        *_PARAMS, *_REPORT,
         _Opt("kind", InequalityKind, _REQUIRED, _tokens(InequalityKind)),
         _Opt("resolution", int),
         _Opt("tol", float),
@@ -527,6 +541,7 @@ _SUBCOMMANDS = {
         _Opt("seed", int),
     ), "grid/random sign scan of one claim"),
     "verify-set": _Subcommand(_cmd_verify_set, (
+        *_PARAMS, *_REPORT, *_INTEGRATOR,
         _Opt("set", SetKind, _REQUIRED, "X, K, Y, or W"),
         _Opt("samples", int, 1000),
         _Opt("horizon", float, 0.05),
@@ -536,6 +551,7 @@ _SUBCOMMANDS = {
              "evaluate THIS region along trajectories (observation mode)"),
     ), "flow-invariance check of a preserved region"),
     "verify-estimate": _Subcommand(_cmd_verify_estimate, (
+        *_PARAMS, *_REPORT, *_INTEGRATOR,
         _Opt("variant", EstimateVariant, _REQUIRED, _tokens(EstimateVariant)),
         _Opt("count", int, 100),
         _Opt("seed", int, 0),
@@ -543,6 +559,7 @@ _SUBCOMMANDS = {
         _Opt("t_end", float),
     ), "scalar-curvature lower bound along blow-ups"),
     "deriv-check": _Subcommand(_cmd_deriv_check, (
+        *_PARAMS, *_REPORT, *_INTEGRATOR,
         _Opt("quantity", QuantityKind, _REQUIRED, _tokens(QuantityKind)),
         _Opt("trajectories", int),
         _Opt("seed", int),
@@ -551,19 +568,11 @@ _SUBCOMMANDS = {
         _Opt("tol", float, 1e-6),
     ), "closed-form rate vs central difference"),
     "plot": _Subcommand(_cmd_plot, (
-        _Opt("rho", float, section="params"),  # plot draws no flow: rho is optional
         _OUT_REQUIRED,
         _Opt("infile", str, _REQUIRED, "CSV produced by simulate", flag="--in"),
         _Opt("columns", str, "R", "comma-separated column names"),
     ), "render CSV columns to SVG"),
 }
-
-
-def _options(subcommand: str) -> list[_Opt]:
-    """The shared options, then the subcommand's own; one the subcommand
-    declares anew replaces the shared one in its place."""
-    merged = {o.key: o for o in (*_SHARED, *_SUBCOMMANDS[subcommand].opts)}
-    return list(merged.values())
 
 
 def _load_config(path: str | None, subcommand: str) -> dict:
@@ -587,9 +596,7 @@ def _load_config(path: str | None, subcommand: str) -> dict:
         entries = raw.get(section, {})
         if not isinstance(entries, dict):
             raise _UsageError(f"config section {section!r} must be an object")
-        # the command section is the running subcommand's own
-        names = [subcommand] if section == "command" else _SUBCOMMANDS
-        allowed = {o.key for n in names for o in _options(n) if o.section == section}
+        allowed = {o.key for o in _SUBCOMMANDS[subcommand].opts if o.section == section}
         bad = set(entries) - allowed
         if bad:
             raise _UsageError(
@@ -599,7 +606,7 @@ def _load_config(path: str | None, subcommand: str) -> dict:
     return raw
 
 
-def _resolve(args: argparse.Namespace, config: dict, opts: list[_Opt]) -> dict:
+def _resolve(args: argparse.Namespace, config: dict, opts: tuple[_Opt, ...]) -> dict:
     """Each option's value, flag over file over default, cast and grouped
     by config section.  Options left to the called function's default
     are absent.  Sections resolve in ``_CONFIG_SECTIONS`` order, so the
@@ -643,7 +650,7 @@ def _build_parser() -> argparse.ArgumentParser:
     for name, subcommand in _SUBCOMMANDS.items():
         sub = subs.add_parser(name, help=subcommand.help)
         sub.add_argument("--config", help="JSON config file")
-        for opt in _options(name):
+        for opt in subcommand.opts:
             kw = dict(opt.kw or {})
             if opt.cast in (int, float):
                 kw["type"] = opt.cast
@@ -662,7 +669,7 @@ def main(argv=None) -> int:
         return int(exc.code or 0)
     try:
         config = _load_config(args.config, args.subcommand)
-        opts = _resolve(args, config, _options(args.subcommand))
+        opts = _resolve(args, config, _SUBCOMMANDS[args.subcommand].opts)
         return int(_SUBCOMMANDS[args.subcommand].run(opts))
     # DomainError, EmptyRegion and HypothesisViolated are ValueErrors
     except (_UsageError, ValueError, SamplingExhausted) as exc:

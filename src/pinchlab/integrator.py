@@ -174,6 +174,9 @@ class IntegratorConfig:
     def __post_init__(self) -> None:
         if not (self.rel_tol > 0 and self.abs_tol > 0):
             raise DomainError("tolerances must be positive")
+        # an infinite tolerance accepts every step: no error control at all
+        if math.isinf(self.rel_tol) or math.isinf(self.abs_tol):
+            raise DomainError("tolerances must be finite")
         if not (self.max_step > 0 and self.blowup_norm > 0):
             raise DomainError("max_step and blowup_norm must be positive")
         if self.max_steps < 1:

@@ -669,6 +669,10 @@ class DerivSuiteReport:
     decay_ratio: float  # discrepancy(h) / discrepancy(h/2); ~4 for O(h^2)
     worst_trajectory: int | None  # spawn index of the worst one at h
     checkpoints: int  # central-difference points evaluated, at h and h/2
+    steps_accepted: int  # integrator work summed over the trajectories
+    steps_rejected: int
+    rhs_evals: int
+    terminal_kinds: dict[str, int]  # terminal kind -> trajectories, in order
 
 
 def derivative_consistency(
@@ -754,7 +758,7 @@ def deriv_suite(
     if trajectories <= 0:
         raise ValueError("trajectories must be positive")
     states = _deriv_initial_states(quantity, trajectories, seed)
-    lanes, _ = _run_lanes(
+    lanes, work_done = _run_lanes(
         states, params, t_end, config,
         lambda i, traj: (derivative_consistency(traj, quantity, params, h),
                          derivative_consistency(traj, quantity, params, h / 2)),
@@ -774,4 +778,5 @@ def deriv_suite(
         decay_ratio=ratio,
         worst_trajectory=at_h.index(worst_h) if worst_h > 0 else None,
         checkpoints=sum(rep.checkpoints + rep2.checkpoints for rep, rep2 in lanes),
+        **work_done,
     )

@@ -168,6 +168,33 @@ def test_trace_bound_random_cli(tmp_path):
     assert doc["report"]["injected_max_abs_margin"] <= 1e-12
 
 
+# each option given to a scan must be one its mode and kind read
+UNREAD_SCAN_OPTIONS = {
+    "seed without samples": (
+        ["--kind", "j-neg-trace", "--rho", "-1", "--resolution", "20", "--seed", "7"],
+        "--seed needs --samples"),
+    "resolution with samples": (
+        ["--kind", "trace-bound", "--rho", "0", "--samples", "100", "--resolution", "3"],
+        "--resolution cannot be used with --samples"),
+    "scan time with samples": (
+        ["--kind", "trace-bound", "--rho", "0", "--samples", "100", "--scan-time", "5"],
+        "--scan-time cannot be used with --samples"),
+    "scan time for a kind with no time term": (
+        ["--kind", "j-neg-trace", "--rho", "-1", "--resolution", "20",
+         "--scan-time", "0.5", "--scan-time", "2"],
+        "--scan-time needs --kind xi-prime"),
+}
+
+
+@pytest.mark.parametrize("case", list(UNREAD_SCAN_OPTIONS))
+def test_scan_refuses_options_its_mode_does_not_read(case, tmp_path, capsys):
+    args, message = UNREAD_SCAN_OPTIONS[case]
+    out = tmp_path / "never.json"
+    assert run(["scan", *args, "--out", out]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out.exists()
+
+
 # -------------------------------------------------------------- verify-set
 
 
@@ -245,6 +272,19 @@ def test_tol_must_be_finite_and_nonnegative(command, tol, tmp_path, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("source", ["--rel-tol", "--abs-tol", "config"])
+def test_infinite_integrator_tolerance_is_usage_error(source, tmp_path, capsys):
+    # an infinite tolerance accepted every step and failed a claim that holds
+    cfg = tmp_path / "c.json"
+    cfg.write_text('{"integrator": {"abs_tol": 1e400}}')  # JSON reads 1e400 as inf
+    out = tmp_path / "never.json"
+    given = ["--config", cfg] if source == "config" else [source, "inf"]
+    assert run(["verify-set", "--set", "X", "--rho", "-1", "--samples", "3",
+                "--horizon", "0.01", *given, "--out", out]) == 2
+    assert capsys.readouterr().err == "error: tolerances must be finite\n"
+    assert not out.exists()
+
+
 def test_verify_set_claim_with_step_limited_lanes_fails(tmp_path):
     # a lane stopped at the step limit was not checked up to the horizon
     args = ["verify-set", "--set", "K", "--samples", "3", "--max-steps", "1"]
@@ -262,6 +302,17 @@ def test_verify_estimate_with_step_limited_lanes_fails(tmp_path):
     assert run(["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1", "--count", "2",
                 "--max-steps", "3", "--out", out]) == 1
     assert json.loads(out.read_text())["report"]["terminal_kinds"] == {"step_limit": 2}
+
+
+def test_deriv_check_with_step_limited_lanes_fails(tmp_path):
+    # both lanes stop short of t_end, yet their discrepancy is small
+    out = tmp_path / "d.json"
+    assert run(["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
+                "--trajectories", "2", "--max-steps", "2", "--out", out]) == 1
+    report = json.loads(out.read_text())["report"]
+    assert report["terminal_kinds"] == {"step_limit": 2}
+    assert report["max_discrepancy"] < 1e-6
+    assert report["steps_accepted"] == 4
 
 
 def test_verify_estimate_cli(tmp_path):

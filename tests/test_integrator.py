@@ -51,6 +51,10 @@ def _reference(y0, params, ts):
 def test_config_validation():
     with pytest.raises(DomainError):
         IntegratorConfig(rel_tol=-1.0)
+    with pytest.raises(DomainError, match="finite"):
+        IntegratorConfig(rel_tol=math.inf)
+    with pytest.raises(DomainError, match="finite"):
+        IntegratorConfig(abs_tol=math.inf)
     with pytest.raises(DomainError):
         IntegratorConfig(max_steps=0)
     with pytest.raises(DomainError):
