@@ -210,7 +210,8 @@ def export_trajectory(
         table = np.column_stack(
             [ts, lam, mu, nu, 2.0 * trace, mu + nu, m_x, m_w, m_k]
         ).tolist()
-        rows = [",".join(map("{:.17g}".format, row)) for row in table]
+        fmt = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
+        rows = [fmt % tuple(row) for row in table]
     meta_block = "".join(f"# {line}\n" for line in _flatten("", _jsonify(full)))
     _write_file(path, meta_block + CSV_HEADER + "\n" + "".join(r + "\n" for r in rows))
 
@@ -239,10 +240,10 @@ def render_svg(
     if xmin == xmax:
         xmin, xmax = xmin - 1.0, xmax + 1.0
 
-    def sx(x: float) -> float:
+    def sx(x):
         return lpad + (x - xmin) / (xmax - xmin) * (width - lpad - rpad)
 
-    def sy(y: float) -> float:
+    def sy(y):
         return height - bpad - (y - ymin) / (ymax - ymin) * (height - tpad - bpad)
 
     parts = [
@@ -281,9 +282,11 @@ def render_svg(
     for i, (name, ys) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
         segment: list[str] = []
-        for x, y in zip(xs, ys):
-            if math.isfinite(x) and math.isfinite(y):
-                segment.append(f"{sx(x):.6g},{sy(y):.6g}")
+        finite = (np.isfinite(xs) & np.isfinite(ys)).tolist()
+        pts = np.column_stack([sx(xs), sy(ys)]).tolist()
+        for ok, pt in zip(finite, pts):
+            if ok:
+                segment.append("%.6g,%.6g" % tuple(pt))
             elif segment:
                 parts.append(
                     f'<polyline points="{" ".join(segment)}" fill="none" '

@@ -34,7 +34,11 @@ inward diagonal direction (1,1,1) — every margin above is strictly
 decreasing under state - s*(1,1,1), so the bisection is well posed.
 Randomness is numpy PCG64; sample i draws from
 SeedSequence(seed).spawn(count)[i], which keeps output independent of
-any sharding of the count.
+any sharding of the count.  Rejection runs in rounds: round k draws the
+k-th batch of every sample still without a member from that sample's
+own stream, one ``margin_array`` call checks the whole round, and each
+sample keeps its first hit, so the draws are those of rejecting sample
+by sample.
 """
 
 from __future__ import annotations
@@ -233,26 +237,28 @@ def sample_set(
     _check_time(t)
     half = default_box_halfwidth(spec, t)
 
-    children = np.random.SeedSequence(seed).spawn(count)
+    # round k: the k-th batch of each sample still without a member
+    rngs = [np.random.Generator(np.random.PCG64(child))
+            for child in np.random.SeedSequence(seed).spawn(count)]
     base = np.empty((count, 3))
-    for i in range(count):
-        rng = np.random.Generator(np.random.PCG64(children[i]))
-        found = False
-        for _ in range(_MAX_DRAWS // _BATCH):
-            cand = rng.uniform(-half, half, size=(_BATCH, 3))
-            cand.sort(axis=1)
-            cand = cand[:, ::-1]
-            good = margin_array(spec, cand[:, 0], cand[:, 1], cand[:, 2], t) >= 0.0
-            hits = np.nonzero(good)[0]
-            if hits.size:
-                base[i] = cand[hits[0]]
-                found = True
-                break
-        if not found:
-            raise SamplingExhausted(
-                f"no {spec.kind.value}-member found in [-{half}, {half}]^3 "
-                f"after {_MAX_DRAWS} draws (sample {i}, t={t})"
-            )
+    todo = np.arange(count)
+    for _ in range(_MAX_DRAWS // _BATCH):
+        if not len(todo):
+            break
+        cand = np.stack([rngs[i].uniform(-half, half, size=(_BATCH, 3)) for i in todo])
+        cand.sort(axis=2)
+        cand = cand[:, :, ::-1]
+        rows = cand.reshape(-1, 3)
+        good = margin_array(spec, rows[:, 0], rows[:, 1], rows[:, 2], t) >= 0.0
+        good = good.reshape(len(todo), _BATCH)
+        hit = good.any(axis=1)
+        base[todo[hit]] = cand[hit, good.argmax(axis=1)[hit]]
+        todo = todo[~hit]
+    if len(todo):
+        raise SamplingExhausted(
+            f"no {spec.kind.value}-member found in [-{half}, {half}]^3 "
+            f"after {_MAX_DRAWS} draws (sample {todo[0]}, t={t})"
+        )
 
     if math.isinf(band):
         return [EigenTriple(*row) for row in base]

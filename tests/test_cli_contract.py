@@ -5,6 +5,9 @@ The hashes and meta blocks below were recorded before the options moved
 to one declaration per key; they hold the outputs that move must keep.
 The deriv-check pins were recorded again when its report gained the
 suite's work counters and terminal kinds, and changed by those alone.
+The scan pins were recorded again when a scan stopped echoing values it
+never read (``resolution`` in random mode, ``scan_times`` outside
+xi-prime, now null), and changed by those keys alone.
 """
 
 import argparse
@@ -18,10 +21,10 @@ from pinchlab.cli import _build_parser, main
 
 # sha256 of the full stdout of integrator-free scans, by (mode, format)
 SCAN_PINS = {
-    ("grid", "json"): "b1bfd4fd4d8dff2f38ccee8a5f2137e373142c6cff4114bb2f753c2a6f3c0ae2",
-    ("grid", "text"): "d832752f4727423560e97ee5ff6b79ae1246fc8dc021aed277a596c69d141d01",
-    ("random", "json"): "624b1958f210be72addfcd6d905bbed8607146ee3926bcec00851d9802dc4346",
-    ("random", "text"): "3699068af59f9ac2cf11187c7f693bfb8c49640f3e06e92a1c0986ac573f9caa",
+    ("grid", "json"): "ff5d15642ffcdaf8e8075d4e336961e2d534e3c5c0a0354e11ac4bb31832be94",
+    ("grid", "text"): "e2ac32e4988c72ccca39e8a0101c4a07c46797585d1897470c22a01a5d11e11c",
+    ("random", "json"): "cb30293107cdd15180a7e31c49e2e3372cb5dc6b7cafd4e8a5be4aefb568204e",
+    ("random", "text"): "f27ce1daad125c52e5af1f06439e136defaf40822b182007e2505caf39b6807d",
 }
 SCAN_ARGS = {
     "grid": ["scan", "--kind", "j-neg-trace", "--rho", "-1", "--resolution", "40"],
@@ -124,6 +127,28 @@ def test_simulate_csv_with_events_is_pinned(tmp_path):
     assert '# events = [{"name": "nu_trigger"' in text
     assert hashlib.sha256(text.encode()).hexdigest() == (
         "4a91da976b9c25e79f0522de1dd2957743d9359706212b88c0f43110eccd9aff"
+    )
+
+
+# sha256 of plot SVGs: one of a simulate CSV, one of a hand-written CSV
+# whose non-finite cells break the polylines
+PLOT_CSV = "t,a,b\n0,1,nan\n0.25,2,3\n0.5,inf,4\n0.75,3,5\n1,2.5,-1e-300\n"
+
+
+def test_plot_svg_bytes_are_pinned(tmp_path):
+    csv_path, svg = tmp_path / "s.csv", tmp_path / "s.svg"
+    assert main(["simulate", "--state", "1,-0.5,-0.8", "--rho", "-1", "--t-end", "0.5",
+                 "--points", "41", "--out", str(csv_path)]) == 0
+    assert main(["plot", "--in", str(csv_path), "--columns", "R,lambda,ric_min,margin_X",
+                 "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "09f84e103415f6354e10d0abce9ad4146618e95658e82808ee26b07fd92021ee"
+    )
+    hand = tmp_path / "hand.csv"
+    hand.write_text(PLOT_CSV)
+    assert main(["plot", "--in", str(hand), "--columns", "a,b", "--out", str(svg)]) == 0
+    assert hashlib.sha256(svg.read_bytes()).hexdigest() == (
+        "38ee1523cf46a911e78b703ab5abba2f8a4a7b1c3a29042f1ee849e89891baa3"
     )
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -20,6 +21,7 @@ from pinchlab import (
     margin_array,
     sample_set,
 )
+from pinchlab import cone_sets
 from pinchlab.cone_sets import constraint_margins, default_box_halfwidth
 
 P_NEG = FlowParams(rho=-1.0)
@@ -237,3 +239,29 @@ def test_default_box_halfwidth():
     assert default_box_halfwidth(SPEC_X, 5.0) == pytest.approx(10.0 * math.exp(5.0) / 6.0)
     assert default_box_halfwidth(SPEC_W, 0.25) == pytest.approx(10.0 / 2.0)
     assert default_box_halfwidth(SPEC_K, 0.0) == pytest.approx(10.0)
+
+
+def test_sample_set_outputs_are_pinned():
+    digest = hashlib.sha256()
+    for spec in (SPEC_X, SPEC_W, SPEC_Y, SPEC_K):
+        for count in (1, 5, 200):
+            for band in (math.inf, 1e-6):
+                for t in (0.0, 0.3):
+                    for state in sample_set(spec, t, count, seed=5, band=band):
+                        digest.update(repr(tuple(map(float, state.as_tuple()))).encode())
+    assert digest.hexdigest() == (
+        "df475f6d30413d721c5af91f336782adbc86aaa261c077492e92af0a5e3797d7"
+    )
+
+
+def test_sampler_rejects_for_all_samples_at_once(monkeypatch):
+    calls = []
+    real = cone_sets.margin_array
+
+    def counted(*args, **kwargs):
+        calls.append(np.size(args[1]))
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(cone_sets, "margin_array", counted)
+    sample_set(SPEC_X, 0.0, 200, seed=0, band=1e-6)
+    assert len(calls) <= 60

@@ -1,4 +1,5 @@
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -97,6 +98,72 @@ def test_scan_reports_are_bit_identical_to_pinned(token, rho, eta, margin, state
     assert (rep.points_checked, rep.violations, rep.near_boundary_points) == (points, violations, near)
 
 
+# the benchmark's grid scan parameter sets, three per kind
+SCAN_PARAMS = {
+    InequalityKind.J_NEG_TRACE: [FlowParams(rho=r) for r in (-0.1, -1.0, -10.0)],
+    InequalityKind.J_NONNEG_TRACE: [FlowParams(rho=r) for r in (-0.1, -1.0, -10.0)],
+    InequalityKind.I_POLY: [FlowParams(rho=r) for r in (0.0, 0.1, 0.24)],
+    InequalityKind.XI_PRIME: [FlowParams(rho=r, eta=e, theta=-1.0 / (2.0 * r))
+                              for e, r in ((1.0, -0.5), (2.0, -0.4), (10.0, -0.05))],
+}
+
+
+def scan_cases(resolutions, samples):
+    """(kind, params, keyword arguments) of every grid kind, trace-bound
+    included, on each parameter set at each resolution, xi-prime at
+    three scan times, and random trace-bound scans of each size."""
+    for res in resolutions:
+        for kind, sets in SCAN_PARAMS.items():
+            for params in sets:
+                yield kind, params, {"resolution": res}
+                yield InequalityKind.TRACE_BOUND, params, {"resolution": res}
+        for params in SCAN_PARAMS[InequalityKind.XI_PRIME]:
+            yield InequalityKind.XI_PRIME, params, {"resolution": res, "scan_times": (0, 0.5, 2)}
+    for n in samples:
+        for rho, seed in ((-1.0, 0), (0.0, 1), (0.2, 7)):
+            yield InequalityKind.TRACE_BOUND, FlowParams(rho=rho), {"samples": n, "seed": seed}
+
+
+def scan_values(kind, params, kwargs):
+    """What one scan computed, every float as its repr."""
+    try:
+        rep = scan_inequality(kind, params, **kwargs)
+    except EmptyRegion:
+        return "EmptyRegion"
+    return repr((
+        rep.points_checked, rep.min_margin, tuple(map(float, rep.argmin_state.as_tuple())),
+        rep.violations, rep.near_boundary_points, rep.injected_max_abs_margin,
+    ))
+
+
+def test_scan_values_are_pinned():
+    text = "\n".join(
+        scan_values(*case) for case in scan_cases((3, 4, 7, 41, 1500), (1, 5, 1000, 200_000))
+    )
+    assert hashlib.sha256(text.encode()).hexdigest() == (
+        "5460246d440c6a905d77648bb0481cb845e2836322b87e02f1c4547241167828"
+    )
+
+
+def test_scan_reports_do_not_depend_on_the_block_size(monkeypatch):
+    # trace-bound at resolution 41 ties at margin 0 between (1, 1, 1) on
+    # the first face and (-1, -1, -1) on the second, blocks apart
+    cases = list(scan_cases((3, 4, 7, 41), (1, 5, 1000)))
+
+    def reports():
+        out = []
+        for kind, params, kwargs in cases:
+            try:
+                out.append(repr(scan_inequality(kind, params, **kwargs)))
+            except EmptyRegion:
+                out.append("EmptyRegion")
+        return out
+
+    default = reports()
+    monkeypatch.setattr(verifier, "_BLOCK", 7)
+    assert reports() == default
+
+
 def test_empty_region_is_an_error():
     with pytest.raises(EmptyRegion):
         scan_inequality(InequalityKind.J_NONNEG_TRACE, P_NEG, resolution=2)
@@ -129,6 +196,9 @@ def test_trace_bound_grid_mode():
     rep = scan_inequality(InequalityKind.TRACE_BOUND, P_NEG, resolution=40)
     assert rep.violations == 0
     assert rep.min_margin >= 0.0
+    # the region is every ordered state: the whole slice, no boundary
+    assert (rep.points_checked, rep.near_boundary_points) == (40 * 40, 0)
+    assert rep.scan_times is None
 
 
 def test_trace_bound_random_mode():
@@ -139,6 +209,8 @@ def test_trace_bound_random_mode():
     assert rep.violations == 0
     assert rep.samples == 20_000
     assert rep.seed == 4
+    # random mode reads neither a grid nor a scan time
+    assert rep.resolution is None and rep.scan_times is None
     # the isotropic injections must sit exactly on the equality case
     assert rep.injected_max_abs_margin <= 1e-12
     again = scan_inequality(
