@@ -68,7 +68,7 @@ print()
 print("== 4. the xi-rate numerator is homogeneous: scanning a slice suffices")
 p = FlowParams(rho=-0.5, eta=1.0, theta=1.0)
 l, m, n = 3.0, -0.5, -0.8
-num = float(xi_prime_numerator_array(np.array([l]), np.array([m]), np.array([n]), p, 0.0)[0])
+num = float(xi_prime_numerator_array(np.array([l]), np.array([m]), np.array([n]), p)[0])
 s = 1.0 / -n
 rate_on_slice = xi_pinch_rate(EigenTriple(l * s, m * s, -1.0), p, 0.0)
 print(f"   N(3,-0.5,-0.8) / (-nu)^3 = {num / (-n)**3:.10f}")

@@ -16,6 +16,7 @@ from .cone_sets import (
     margin_array,
     membership,
     sample_set,
+    standard_trigger_events,
 )
 from .eigen_ode import (
     RHO_MAX,
@@ -41,7 +42,6 @@ from .integrator import (
     TerminalStatus,
     Trajectory,
     integrate,
-    standard_trigger_events,
 )
 from .pinch_functions import (
     EstimateVariant,
@@ -95,7 +95,6 @@ __all__ = [
     "TerminalStatus",
     "EventRecord",
     "integrate",
-    "standard_trigger_events",
     "REACHED_END",
     "BLOWUP",
     "STEP_LIMIT",
@@ -105,6 +104,7 @@ __all__ = [
     "membership",
     "margin_array",
     "sample_set",
+    "standard_trigger_events",
     "InequalityKind",
     "QuantityKind",
     "ScanReport",

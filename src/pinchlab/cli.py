@@ -5,10 +5,12 @@ Subcommands: ``simulate``, ``scan``, ``verify-set``, ``verify-estimate``,
 config file (``--config``) with top-level sections ``params``,
 ``integrator``, ``command``, ``output``; explicit flags always override
 file values.  Each option is declared once, as an ``_Opt`` giving its
-flag, config key, type and default, and each subcommand takes exactly
-the options it reads: a flag it does not read is unrecognized, and a
-config key it does not read is an error in every section.  The fully
-resolved configuration is echoed into every output.
+flag, config key, type and default, and takes one value, never a list.
+Each subcommand takes exactly the options it reads: a flag it does not
+read is unrecognized, and a config key it does not read is an error in
+every section.  The fully resolved configuration is echoed into every
+output.  ``scan`` checks xi-prime at t = 0 only, its most adverse time,
+so no option sets a time.
 
 Exit codes: 0 success, 1 verification failure (violations or negative
 slack beyond tolerance on a claimed check, or a lane of one that stopped
@@ -39,10 +41,10 @@ from typing import Callable, NamedTuple, get_type_hints
 import numpy as np
 
 from . import __version__
-from .cone_sets import SetKind, SetSpec, margin_array
+from .cone_sets import SetKind, SetSpec, margin_array, standard_trigger_events
 from .eigen_ode import EigenTriple, FlowParams
 from .errors import DomainError, SamplingExhausted
-from .integrator import STEP_LIMIT, IntegratorConfig, Trajectory, integrate, standard_trigger_events
+from .integrator import STEP_LIMIT, IntegratorConfig, Trajectory, integrate
 from .pinch_functions import EstimateVariant
 from .verifier import (
     InequalityKind,
@@ -72,11 +74,11 @@ def _tokens(kind: type[Enum]) -> str:
 
 
 def _cast(section: str, key: str, value, cast):
-    """``value`` read as ``cast``: int, float, bool, str, list (a list of
-    floats, returned as a tuple) or an Enum whose values are the option's
-    tokens.  Flags arrive typed but config values do not, so a value of
-    the wrong type is a usage error that names its key: an int takes a
-    JSON integer only, a float any JSON number but NaN (flags too)."""
+    """``value`` read as ``cast``: int, float, bool, str or an Enum whose
+    values are the option's tokens.  Flags arrive typed but config values
+    do not, so a value of the wrong type is a usage error that names its
+    key: an int takes a JSON integer only, a float any JSON number but
+    NaN (flags too)."""
     if issubclass(cast, Enum):
         try:
             return cast(value)
@@ -85,8 +87,6 @@ def _cast(section: str, key: str, value, cast):
                 f"unknown --{key.replace('_', '-')} {value!r}; "
                 f"expected one of {_tokens(cast)}"
             ) from None
-    if cast is list and isinstance(value, list):
-        return tuple(_cast(section, key, v, float) for v in value)
     if cast in (bool, str) and isinstance(value, cast):
         return value
     if cast is float and isinstance(value, float) and not math.isnan(value):
@@ -374,13 +374,8 @@ def _cmd_scan(opts: dict) -> int:
     flag = {o.key: o.flag_name for o in _SUBCOMMANDS["scan"].opts}
     if "seed" in cmd and "samples" not in cmd:
         raise _UsageError(f"{flag['seed']} needs {flag['samples']}")
-    for key in ("resolution", "scan_times"):
-        if key in cmd and "samples" in cmd:
-            raise _UsageError(f"{flag[key]} cannot be used with {flag['samples']}")
-    if "scan_times" in cmd and cmd["kind"] is not InequalityKind.XI_PRIME:
-        raise _UsageError(
-            f"{flag['scan_times']} needs {flag['kind']} {InequalityKind.XI_PRIME.value}"
-        )
+    if "resolution" in cmd and "samples" in cmd:
+        raise _UsageError(f"{flag['resolution']} cannot be used with {flag['samples']}")
     # theta defaults to the claim's own where rho and eta are inside its
     # window; outside it the scan's window check reports
     if (cmd["kind"] is InequalityKind.XI_PRIME and "theta" not in opts["params"]
@@ -537,8 +532,6 @@ _SUBCOMMANDS = {
         _Opt("kind", InequalityKind, _REQUIRED, _tokens(InequalityKind)),
         _Opt("resolution", int),
         _Opt("tol", float),
-        _Opt("scan_times", list, None,
-             "time for the xi-rate term (repeatable; default 0)", flag="--scan-time"),
         _Opt("samples", int, None,
              "random ordered states instead of a grid (trace-bound only)"),
         _Opt("seed", int),
@@ -636,9 +629,8 @@ def _resolve(args: argparse.Namespace, config: dict, opts: tuple[_Opt, ...]) -> 
 def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on the first ``main`` call.
 
-    Parsing keeps no state in the parser (``--scan-time`` appends to a
-    fresh list per call), so reusing it gives every call the same
-    result as a fresh process.
+    Parsing keeps no state in the parser, so reusing it gives every call
+    the same result as a fresh process.
     """
     parser = argparse.ArgumentParser(
         prog="pinchlab",
@@ -657,8 +649,6 @@ def _build_parser() -> argparse.ArgumentParser:
             kw = dict(opt.kw or {})
             if opt.cast in (int, float):
                 kw["type"] = opt.cast
-            elif opt.cast is list:
-                kw.update(type=float, action="append")
             sub.add_argument(opt.flag_name, dest=opt.key, help=opt.help, **kw)
     return parser
 

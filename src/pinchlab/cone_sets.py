@@ -46,6 +46,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -60,6 +61,7 @@ __all__ = [
     "membership",
     "margin_array",
     "constraint_margins",
+    "standard_trigger_events",
     "default_box_halfwidth",
     "sample_set",
 ]
@@ -112,10 +114,12 @@ class MembershipResult:
 
 def _check_time(t) -> None:
     """At t >= 0 every region's time factor is >= 1: W has rho < 0 and
-    K and Y have 1 + eta*rho > 0."""
+    K and Y have 1 + eta*rho > 0.  A NaN time fails the check too, and
+    is the one named."""
     t = np.asarray(t)
-    if np.any(t < 0):
-        raise DomainError(f"membership time must be >= 0, got {t[t < 0].min()}")
+    bad = ~(t >= 0)
+    if np.any(bad):
+        raise DomainError(f"membership time must be >= 0, got {t[bad].min()}")
 
 
 def constraint_margins(spec: SetSpec, lam, mu, nu, t=0.0):
@@ -169,6 +173,32 @@ def constraint_margins(spec: SetSpec, lam, mu, nu, t=0.0):
     out = [("trace_floor", m1), ("nu_log", m2)]
     if spec.kind is SetKind.SECTIONAL_LOG_NONNEG_RICCI:
         out.append(("ricci_sign", ric + 0.0))
+    return out
+
+
+def standard_trigger_events(params: FlowParams):
+    """Event functions for the conditional-bound triggers of the cones.
+
+    Returns (name, g) pairs for whichever of these are admissible:
+
+    * ``nu_trigger``:    nu + 1/(1 + 2(1+eta rho) t)   (K/Y bound trigger)
+    * ``ricci_trigger``: mu + nu + 1/(1 - 4 rho t)     (W bound trigger)
+    * ``nu_zero`` and ``ricci_zero``: plain sign changes of nu and mu+nu.
+    """
+    out: list[tuple[str, Callable]] = [
+        ("nu_zero", lambda t, l, m, n: n),
+        ("ricci_zero", lambda t, l, m, n: m + n),
+    ]
+    if params.eta_factor > 0:
+        out.append(
+            ("nu_trigger",
+             lambda t, l, m, n: n + 1.0 / params.sectional_time_factor(t))
+        )
+    if params.neg_rho_window() is None:
+        out.append(
+            ("ricci_trigger",
+             lambda t, l, m, n: m + n + 1.0 / params.ricci_time_factor(t))
+        )
     return out
 
 
@@ -232,7 +262,7 @@ def sample_set(
     """
     if count <= 0:
         raise ValueError("count must be positive")
-    if band < 0:
+    if not band >= 0:  # NaN too
         raise ValueError("band must be >= 0")
     _check_time(t)
     half = default_box_halfwidth(spec, t)

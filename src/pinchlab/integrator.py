@@ -69,10 +69,10 @@ Terminal rules:
   constant trajectory.
 
 The integrator knows nothing about cones or pinching functions.  Event
-functions (used by the verifier for trigger crossings) are generic
-``g(t, lam, mu, nu)`` callables whose sign changes across an accepted
-step are refined by bisection in sigma on the dense interpolant to 1e-10
-in t.
+functions (``cone_sets.standard_trigger_events`` gives the regions'
+triggers) are generic ``g(t, lam, mu, nu)`` callables whose sign changes
+across an accepted step are refined by bisection in sigma on the dense
+interpolant to 1e-10 in t.
 """
 
 from __future__ import annotations
@@ -92,7 +92,6 @@ __all__ = [
     "EventRecord",
     "Trajectory",
     "integrate",
-    "standard_trigger_events",
     "REACHED_END",
     "BLOWUP",
     "STEP_LIMIT",
@@ -639,29 +638,3 @@ def integrate(
             "rhs_evals": 1 + 6 * (naccept + nreject),
         },
     )
-
-
-def standard_trigger_events(params: FlowParams):
-    """Event functions for the conditional-bound triggers of the cones.
-
-    Returns (name, g) pairs for whichever of these are admissible:
-
-    * ``nu_trigger``:    nu + 1/(1 + 2(1+eta rho) t)   (K/Y bound trigger)
-    * ``ricci_trigger``: mu + nu + 1/(1 - 4 rho t)     (W bound trigger)
-    * ``nu_zero`` and ``ricci_zero``: plain sign changes of nu and mu+nu.
-    """
-    out: list[tuple[str, Callable]] = [
-        ("nu_zero", lambda t, l, m, n: n),
-        ("ricci_zero", lambda t, l, m, n: m + n),
-    ]
-    if params.eta_factor > 0:
-        out.append(
-            ("nu_trigger",
-             lambda t, l, m, n: n + 1.0 / params.sectional_time_factor(t))
-        )
-    if params.neg_rho_window() is None:
-        out.append(
-            ("ricci_trigger",
-             lambda t, l, m, n: m + n + 1.0 / params.ricci_time_factor(t))
-        )
-    return out

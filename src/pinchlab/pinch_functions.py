@@ -257,25 +257,24 @@ def xi_pinch_rate(state: EigenTriple, params: FlowParams, t: float) -> float:
     )
 
 
-def xi_prime_numerator_array(l, m, n, params: FlowParams, t: float = 0.0):
-    """nu^2 xi' with the time term bounded through the trigger.
+def xi_prime_numerator_array(l, m, n, params: FlowParams):
+    """nu^2 xi' with the time term bounded through the trigger, at t = 0.
 
-    Exactly (lam'+mu')(-nu) + (lam+mu) nu' - theta nu nu'
-    + 2 theta (1+eta rho) nu^3 / (1+2(1+eta rho)t).
-
-    Under the trigger nu <= -1/(1+2(1+eta rho)t) this is a lower bound
-    for nu^2 xi', and at t=0 it is homogeneous of degree 3, which is what
-    lets the verifier scan it on the unit sup-norm slice.  For nu < 0 the
-    time term is most adverse at t = 0.
+    At time t it is (lam'+mu')(-nu) + (lam+mu) nu' - theta nu nu'
+    + 2 theta (1+eta rho) nu^3 / (1+2(1+eta rho)t), and under the trigger
+    nu <= -1/(1+2(1+eta rho)t) a lower bound for nu^2 xi'.  For nu < 0
+    the time term is negative and shrinks as t grows, so t = 0 is the
+    most adverse time; there the numerator is homogeneous of degree 3,
+    which is what lets the verifier scan it on the unit sup-norm slice.
     """
-    tf = _cone_time_factor(params, t)
+    params.require_cone_admissible()
     dl, dm, dn = rhs_array(l, m, n, params.rho)
     th = params.theta
     return (
         (dl + dm) * (-n)
         + (l + m) * dn
         - th * n * dn
-        + 2.0 * th * params.eta_factor * n * n * n / tf
+        + 2.0 * th * params.eta_factor * n * n * n
     )
 
 

@@ -4,12 +4,12 @@ Four instruments:
 
 * ``scan_inequality`` — brute-force sign scans of the homogeneous
   polynomial claims (the two J cases, the I polynomial, the xi-rate
-  numerator, and the trace comparison) on a deterministic grid over the
-  sup-norm unit slice of each claim's cone, or over random ordered
-  states for the trace comparison.  Both modes feed one reduction loop
-  over blocks of about 2^16 points (runs of grid rows, or runs of
-  draws), so a scan's memory stays bounded at any resolution or sample
-  count and its temporaries stay in cache.
+  numerator at t = 0, and the trace comparison) on a deterministic grid
+  over the sup-norm unit slice of each claim's cone, or over random
+  ordered states for the trace comparison.  Both modes feed one
+  reduction loop over blocks of about 2^16 points (runs of grid rows, or
+  runs of draws), so a scan's memory stays bounded at any resolution or
+  sample count and its temporaries stay in cache.
 * ``check_invariance`` — samples states in a thin band along a region's
   boundary, pushes each through the flow, and re-evaluates membership
   at dense checkpoints (with the membership clock advancing along the
@@ -18,8 +18,9 @@ Four instruments:
   a trajectory wherever their trigger holds.
 * ``derivative_consistency`` — central-difference vs closed-form rate
   for the two monotone quantities, the numerical cross-examination of
-  the exact derivative identities.  Each trajectory window is evaluated
-  in one dense call, not one call per difference point.
+  the exact derivative identities.  A trajectory's windows, at h and
+  h/2 in ``deriv_suite``, are evaluated in one dense call, not one call
+  per difference point or per step.
 
 Reports normalize drift by 1/(1+|trace|): raw membership margins grow
 like the state and are meaningless near blow-up, where time-shift error
@@ -119,7 +120,6 @@ class ScanReport:
     tol: float
     near_boundary_points: int
     mode: str = "grid"  # "grid" or "random"
-    scan_times: tuple[float, ...] | None = None  # read by xi-prime grid scans only
     samples: int | None = None
     seed: int | None = None
     injected_max_abs_margin: float | None = None
@@ -213,7 +213,7 @@ def _validate_scan_params(kind: InequalityKind, params: FlowParams) -> None:
         raise DomainError(f"{kind.value} scan needs {reason}")
 
 
-def _margin_for(kind: InequalityKind, lam, mu, nu, params: FlowParams, t: float):
+def _margin_for(kind: InequalityKind, lam, mu, nu, params: FlowParams):
     rho = params.rho
     if kind is InequalityKind.J_NEG_TRACE:
         return j_poly_array(lam, mu, nu, rho)
@@ -225,7 +225,7 @@ def _margin_for(kind: InequalityKind, lam, mu, nu, params: FlowParams, t: float)
     if kind is InequalityKind.I_POLY:
         return i_poly_array(lam, mu, nu, rho)
     if kind is InequalityKind.XI_PRIME:
-        return xi_prime_numerator_array(lam, mu, nu, params, t)
+        return xi_prime_numerator_array(lam, mu, nu, params)
     dl, dm, dn = rhs_array(lam, mu, nu, rho)
     trace = lam + mu + nu
     return (dl + dm + dn) - (4.0 / 3.0) * (1.0 - 3.0 * rho) * trace * trace
@@ -252,7 +252,6 @@ def scan_inequality(
     params: FlowParams,
     resolution: int = 200,
     tol: float = DEFAULT_SCAN_TOL,
-    scan_times: Sequence[float] = (0.0,),
     samples: int | None = None,
     seed: int = 0,
 ) -> ScanReport:
@@ -261,16 +260,17 @@ def scan_inequality(
     Grid mode (default) exploits degree-3 homogeneity: the claim margin
     is evaluated on a resolution^2-scale grid over the sup-norm unit
     slice of the region (two cube faces), where an affine threshold like
-    mu+nu <= -e^(1-4 rho) homogenizes to mu+nu < 0.  For XI_PRIME the
-    time term is evaluated at every entry of ``scan_times`` (default
-    t=0, the most adverse time) and the per-point minimum is kept.
+    mu+nu <= -e^(1-4 rho) homogenizes to mu+nu < 0.  XI_PRIME is scanned
+    at t = 0, which covers every t >= 0: its time term
+    2 theta (1+eta rho) nu^3 / (1+2(1+eta rho)t) is negative for nu < 0
+    and shrinks in t.
 
     Random mode (``samples`` set, TRACE_BOUND only) checks the margin at
     that many seeded random ordered states in [-5, 5]^3, with the
     violation cutoff scaled per point by max(1, sup-norm)^3, plus a few
     injected isotropic states where the margin must vanish identically.
-    The report holds ``resolution`` only in grid mode and ``scan_times``
-    only for XI_PRIME, the values the verdict read.
+    The report holds ``resolution`` only in grid mode, where the verdict
+    read it.
 
     Points are generated and reduced a block at a time: each block adds
     its violation and near-boundary counts and keeps the points tied at
@@ -288,22 +288,13 @@ def scan_inequality(
         raise ValueError("random-state mode exists only for trace-bound scans")
     if samples is not None and samples <= 0:
         raise ValueError("samples must be positive")
-    if not scan_times:
-        raise ValueError("scan_times must not be empty")
-    if not all(math.isfinite(t) for t in scan_times):
-        raise ValueError(f"scan_times must be finite, got {tuple(scan_times)}")
 
     random_mode = samples is not None
-    if random_mode:
-        blocks, times = _random_blocks(samples, seed), (0.0,)
-    else:
-        blocks, times = _grid_blocks(kind, resolution), tuple(float(t) for t in scan_times)
+    blocks = _random_blocks(samples, seed) if random_mode else _grid_blocks(kind, resolution)
     points = violations = near = 0
     lowest, ties = math.inf, []
     for lam, mu, nu, near_block in blocks:
-        margins = _margin_for(kind, lam, mu, nu, params, times[0])
-        for t in times[1:]:
-            margins = np.minimum(margins, _margin_for(kind, lam, mu, nu, params, t))
+        margins = _margin_for(kind, lam, mu, nu, params)
         cutoff = tol
         if random_mode:
             # the largest magnitude of an ordered triple sits at one of its ends
@@ -335,7 +326,6 @@ def scan_inequality(
         tol=tol,
         near_boundary_points=near,
         mode="random" if random_mode else "grid",
-        scan_times=times if kind is InequalityKind.XI_PRIME else None,
         samples=samples,
         seed=seed if random_mode else None,
         # the last block holds the injected isotropic states
@@ -370,15 +360,16 @@ class InvarianceReport:
 def invariance_is_claimed(spec: SetSpec) -> bool:
     """Whether flow-invariance of this region is an established claim.
 
-    X and W: claimed inside ``FlowParams.neg_rho_window`` (rho < 0), Y
-    inside ``neg_rho_sectional_window`` and K inside ``nonneg_rho_window``.
-    Anything else runs as an observation.
+    Y: claimed inside ``FlowParams.neg_rho_sectional_window`` and K
+    inside ``nonneg_rho_window``; anything else runs as an observation.
+    X and W: always, as ``SetSpec`` admits them only inside
+    ``neg_rho_window`` (rho < 0).
     """
-    if spec.kind in (SetKind.RICCI_LOG_STATIC, SetKind.TRACE_POSITIVE_RICCI_LOG):
-        return spec.params.neg_rho_window() is None
     if spec.kind is SetKind.SECTIONAL_LOG_NONNEG_RICCI:
         return spec.params.neg_rho_sectional_window() is None
-    return spec.params.nonneg_rho_window() is None
+    if spec.kind is SetKind.SECTIONAL_LOG:
+        return spec.params.nonneg_rho_window() is None
+    return True
 
 
 def _checkpoint_times(traj: Trajectory, uniform: int = 129):
@@ -709,12 +700,15 @@ class DerivSuiteReport:
     terminal_kinds: dict[str, int]  # terminal kind -> trajectories, in order
 
 
+_DERIV_POINTS = 33  # central-difference points per window
+
+
 def derivative_consistency(
     traj: Trajectory,
     quantity: QuantityKind,
     params: FlowParams,
     h: float = 1e-4,
-    points: int = 33,
+    points: int = _DERIV_POINTS,
 ) -> DerivReport:
     """Central-difference vs closed-form rate along one trajectory.
 
@@ -729,12 +723,22 @@ def derivative_consistency(
     bit-identical to one-point evaluations, and the quantity and its
     rate are then taken point by point in scalar arithmetic.
     """
-    if h <= 0:
-        raise ValueError("h must be positive")
+    return _deriv_reports(traj, quantity, params, (h,), points)[0]
+
+
+def _deriv_reports(
+    traj: Trajectory, quantity: QuantityKind, params: FlowParams,
+    hs: Sequence[float], points: int,
+) -> list[DerivReport]:
+    """``derivative_consistency`` at each step in ``hs``, the windows of
+    every step evaluated in one ``eval_many`` call."""
     t0, t1 = traj.t_start, traj.t_last
-    if t1 - t0 <= 4 * h:
-        raise ValueError(f"window [{t0}, {t1}] too short for h={h}")
-    taus = np.linspace(t0 + 2 * h, t1 - 2 * h, points)
+    for h in hs:
+        if h <= 0:
+            raise ValueError("h must be positive")
+        if t1 - t0 <= 4 * h:
+            raise ValueError(f"window [{t0}, {t1}] too short for h={h}")
+    taus = [np.linspace(t0 + 2 * h, t1 - 2 * h, points) for h in hs]
 
     def value(state: EigenTriple, t: float) -> float:
         if quantity is QuantityKind.LAMBDA_PINCH:
@@ -746,18 +750,19 @@ def derivative_consistency(
             return lambda_pinch_rate(state, params)
         return xi_pinch_rate(state, params, t)
 
-    tp, tm = taus + h, taus - h
-    rows = traj.eval_many(np.concatenate([tp, tm, taus])).reshape(3, points, 3)
-    worst = 0.0
-    for i, tau in enumerate(taus):
-        qp = value(EigenTriple.sorted_from(*rows[0, i]), tp[i])
-        qm = value(EigenTriple.sorted_from(*rows[1, i]), tm[i])
-        fd = (qp - qm) / (2.0 * h)
-        cf = rate(EigenTriple.sorted_from(*rows[2, i]), tau)
-        worst = max(worst, abs(fd - cf))
-    return DerivReport(
-        quantity=quantity, h=h, max_discrepancy=worst, checkpoints=len(taus)
-    )
+    windows = [(tau + h, tau - h, tau) for h, tau in zip(hs, taus)]
+    rows = traj.eval_many(np.concatenate([t for w in windows for t in w]))
+    reports = []
+    for h, (tp, tm, tau), r in zip(hs, windows, rows.reshape(len(hs), 3, points, 3)):
+        worst = 0.0
+        for i in range(points):
+            qp = value(EigenTriple.sorted_from(*r[0, i]), tp[i])
+            qm = value(EigenTriple.sorted_from(*r[1, i]), tm[i])
+            fd = (qp - qm) / (2.0 * h)
+            cf = rate(EigenTriple.sorted_from(*r[2, i]), tau[i])
+            worst = max(worst, abs(fd - cf))
+        reports.append(DerivReport(quantity, h, worst, checkpoints=points))
+    return reports
 
 
 def _deriv_initial_states(
@@ -794,8 +799,7 @@ def deriv_suite(
     states = _deriv_initial_states(quantity, trajectories, seed)
     lanes, work_done = _run_lanes(
         states, params, t_end, config,
-        lambda i, traj: (derivative_consistency(traj, quantity, params, h),
-                         derivative_consistency(traj, quantity, params, h / 2)),
+        lambda i, traj: _deriv_reports(traj, quantity, params, (h, h / 2), _DERIV_POINTS),
     )
     at_h = [rep.max_discrepancy for rep, _ in lanes]
     worst_h = max(at_h)

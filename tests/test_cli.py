@@ -176,13 +176,6 @@ UNREAD_SCAN_OPTIONS = {
     "resolution with samples": (
         ["--kind", "trace-bound", "--rho", "0", "--samples", "100", "--resolution", "3"],
         "--resolution cannot be used with --samples"),
-    "scan time with samples": (
-        ["--kind", "trace-bound", "--rho", "0", "--samples", "100", "--scan-time", "5"],
-        "--scan-time cannot be used with --samples"),
-    "scan time for a kind with no time term": (
-        ["--kind", "j-neg-trace", "--rho", "-1", "--resolution", "20",
-         "--scan-time", "0.5", "--scan-time", "2"],
-        "--scan-time needs --kind xi-prime"),
 }
 
 
@@ -387,7 +380,6 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
 
 WRONG_TYPES = {
     "command.samples": ("verify-set", {"command": {"set": "X", "samples": [3]}}),
-    "command.scan_times": ("scan", {"command": {"kind": "xi-prime", "scan_times": 0.5}}),
     "params.rho": ("scan", {"params": {"rho": [1]}, "command": {"kind": "i-poly"}}),
     "integrator.max_steps": (
         "simulate",
@@ -436,16 +428,13 @@ def test_config_numbers_are_not_cast_loosely(case, tmp_path, capsys):
 NAN_FLAGS = {
     "command.tol": ["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
                     "--trajectories", "2", "--tol", "nan"],
-    "command.scan_times": ["scan", "--kind", "xi-prime", "--rho", "-0.5", "--eta", "1",
-                           "--scan-time", "nan"],
     "params.rho": ["scan", "--kind", "j-neg-trace", "--rho", "nan"],
 }
 
 
 @pytest.mark.parametrize("key", list(NAN_FLAGS))
 def test_nan_flag_is_usage_error(key, tmp_path, capsys):
-    # a NaN tolerance passed every comparison-based verdict, and a NaN
-    # scan time broke the scan's argmin
+    # a NaN tolerance passed every comparison-based verdict
     assert run(NAN_FLAGS[key] + ["--out", tmp_path / "never.json"]) == 2
     assert capsys.readouterr().err == f"error: config value {key} must be float, got nan\n"
     assert not (tmp_path / "never.json").exists()
@@ -551,13 +540,3 @@ def test_reused_parser_matches_fresh_process(tmp_path, capsys, monkeypatch):
         for p in here.iterdir():
             assert p.read_bytes() == (there / p.name).read_bytes()
     assert (tmp_path / "here2" / "sim.csv").exists()
-
-
-def test_repeated_scan_times_do_not_accumulate(tmp_path):
-    args = ["scan", "--kind=xi-prime", "--rho=-0.5", "--eta=1", "--theta=1",
-            "--scan-time=0", "--scan-time=0.01"]
-    assert run(args + [f"--out={tmp_path / 'a.json'}"]) == 0
-    assert run(args + [f"--out={tmp_path / 'b.json'}"]) == 0
-    first = (tmp_path / "a.json").read_bytes()
-    assert first == (tmp_path / "b.json").read_bytes()
-    assert json.loads(first)["report"]["scan_times"] == [0.0, 0.01]

@@ -6,8 +6,9 @@ to one declaration per key; they hold the outputs that move must keep.
 The deriv-check pins were recorded again when its report gained the
 suite's work counters and terminal kinds, and changed by those alone.
 The scan pins were recorded again when a scan stopped echoing values it
-never read (``resolution`` in random mode, ``scan_times`` outside
-xi-prime, now null), and changed by those keys alone.
+never read (``resolution`` in random mode, now null), and again when the
+``scan_times`` key left the scan report; each time they changed by those
+keys alone.
 """
 
 import argparse
@@ -21,10 +22,10 @@ from pinchlab.cli import _build_parser, main
 
 # sha256 of the full stdout of integrator-free scans, by (mode, format)
 SCAN_PINS = {
-    ("grid", "json"): "ff5d15642ffcdaf8e8075d4e336961e2d534e3c5c0a0354e11ac4bb31832be94",
-    ("grid", "text"): "e2ac32e4988c72ccca39e8a0101c4a07c46797585d1897470c22a01a5d11e11c",
-    ("random", "json"): "cb30293107cdd15180a7e31c49e2e3372cb5dc6b7cafd4e8a5be4aefb568204e",
-    ("random", "text"): "f27ce1daad125c52e5af1f06439e136defaf40822b182007e2505caf39b6807d",
+    ("grid", "json"): "67a4a479a0da99d0027102dce78fc9cb1011ca72a8a47a6d442f52ddd5baf491",
+    ("grid", "text"): "60b7f0b4eaec755990977cd08c8924f7a1b6c331ab00fdac4147f4e41e886fab",
+    ("random", "json"): "3cbd7f54bdd6c22cfbf6411090e8fcb591427b3e788e70bfc3bb3668133c6be7",
+    ("random", "text"): "a47be852895fc73c21d16d8d9234a2116d4c06c176f09358b6beee56379a0ade",
 }
 SCAN_ARGS = {
     "grid": ["scan", "--kind", "j-neg-trace", "--rho", "-1", "--resolution", "40"],
@@ -238,6 +239,7 @@ def test_every_flag_is_a_config_key_and_back(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, section, key", [
     ("scan", {"kind": "j-neg-trace"}, "resolutoin"),
+    ("scan", {"kind": "xi-prime"}, "scan_times"),
     ("verify-set", {"set": "X", "samples": 2, "horizon": 0.01}, "count"),
 ])
 def test_command_key_the_subcommand_does_not_read_is_usage_error(
@@ -263,7 +265,7 @@ FLAGS = {
     "simulate": [*PARAMS, "--out", "--stamp", *INTEGRATOR,
                  "--state", "--t0", "--t-end", "--points"],
     "scan": [*PARAMS, *REPORT,
-             "--kind", "--resolution", "--tol", "--scan-time", "--samples", "--seed"],
+             "--kind", "--resolution", "--tol", "--samples", "--seed"],
     "verify-set": [*PARAMS, *REPORT, *INTEGRATOR,
                    "--set", "--samples", "--horizon", "--seed", "--tol", "--recheck-set"],
     "verify-estimate": [*PARAMS, *REPORT, *INTEGRATOR,
@@ -281,7 +283,7 @@ def test_each_subcommand_has_exactly_the_flags_it_reads():
         for command, sub in subparsers().items()
     }
     assert found == FLAGS
-    assert sum(map(len, found.values())) == 79
+    assert sum(map(len, found.values())) == 78
 
 
 # flags that every subcommand once accepted and these never read, each
@@ -292,10 +294,15 @@ UNREAD_FLAGS = [
     *[("plot", [flag, "1"]) for flag in [*PARAMS, *INTEGRATOR]],
     ("plot", ["--format", "json"]),
     ("plot", ["--stamp"]),
+    # xi-prime is scanned at t = 0, its most adverse time; at t < 0 its
+    # time term reports violations of a claim that holds
+    ("scan xi-prime", ["--scan-time", "-0.99"]),
 ]
 VALID_RUNS = {
     "simulate": ["simulate", "--state", "1,0.5,-0.5", "--rho", "-1", "--t-end", "0.01"],
     "scan": ["scan", "--kind", "j-neg-trace", "--rho", "-1", "--resolution", "20"],
+    "scan xi-prime": ["scan", "--kind", "xi-prime", "--rho", "-0.5", "--eta", "1",
+                      "--resolution", "60"],
     "plot": ["plot", "--in", "run.csv"],
 }
 

@@ -60,6 +60,21 @@ def test_negative_time_names_the_smallest():
         margin_array(SPEC_K, np.ones(201), np.zeros(201), -np.ones(201), ts)
 
 
+NAN_TIME_CALLS = {
+    "membership K": lambda: membership(SPEC_K, EigenTriple(1.0, 0.0, -1.0), t=math.nan),
+    "checkpoints K": lambda: margin_array(
+        SPEC_K, np.ones(3), np.zeros(3), -np.ones(3), np.array([0.1, math.nan, -3.0])),
+    "sample_set K": lambda: sample_set(SPEC_K, math.nan, 3, seed=0),
+    "sample_set X": lambda: sample_set(SPEC_X, math.nan, 3, seed=0),
+}
+
+
+@pytest.mark.parametrize("case", list(NAN_TIME_CALLS))
+def test_nan_time_is_a_domain_error(case):
+    with pytest.raises(DomainError, match=r"must be >= 0, got nan$"):
+        NAN_TIME_CALLS[case]()
+
+
 def test_membership_pins():
     r = membership(SPEC_X, EigenTriple(1.0, 1.0, 1.0))
     assert r.member
@@ -226,6 +241,14 @@ def test_band_landing():
 def test_band_zero_is_unattainable():
     with pytest.raises(SamplingExhausted):
         sample_set(SPEC_X, 0.0, 4, seed=0, band=0.0)
+
+
+@pytest.mark.parametrize("band", [-1e-6, math.nan])
+def test_band_must_be_nonnegative(band, monkeypatch):
+    # refused before the first draw is checked
+    monkeypatch.setattr(cone_sets, "margin_array", None)
+    with pytest.raises(ValueError, match=r"^band must be >= 0$"):
+        sample_set(SPEC_X, 0.0, 4, seed=0, band=band)
 
 
 def test_y_samples_cover_the_conditional_branch():

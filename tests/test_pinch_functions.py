@@ -275,7 +275,7 @@ def test_xi_numerator_homogenises_the_rate(triple):
     """
     l, m, n = triple
     num = float(
-        xi_prime_numerator_array(np.array([l]), np.array([m]), np.array([n]), P_XI, 0.0)[0]
+        xi_prime_numerator_array(np.array([l]), np.array([m]), np.array([n]), P_XI)[0]
     )
     s = 1.0 / -n
     want = xi_pinch_rate(EigenTriple(l * s, m * s, -1.0), P_XI, 0.0)
@@ -285,8 +285,8 @@ def test_xi_numerator_homogenises_the_rate(triple):
 @given(negative_nu_triples, st.floats(min_value=0.05, max_value=4.0))
 def test_xi_numerator_homogeneous_degree_three_at_t0(triple, s):
     l, m, n = (np.array([v]) for v in triple)
-    a = float(xi_prime_numerator_array(l * s, m * s, n * s, P_XI, 0.0)[0])
-    b = float(xi_prime_numerator_array(l, m, n, P_XI, 0.0)[0])
+    a = float(xi_prime_numerator_array(l * s, m * s, n * s, P_XI)[0])
+    b = float(xi_prime_numerator_array(l, m, n, P_XI)[0])
     assert a == pytest.approx(s**3 * b, rel=1e-9, abs=1e-9)
 
 

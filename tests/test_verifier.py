@@ -110,15 +110,16 @@ SCAN_PARAMS = {
 
 def scan_cases(resolutions, samples):
     """(kind, params, keyword arguments) of every grid kind, trace-bound
-    included, on each parameter set at each resolution, xi-prime at
-    three scan times, and random trace-bound scans of each size."""
+    included, on each parameter set at each resolution, each xi-prime
+    case a second time (the pinned digest holds both), and random
+    trace-bound scans of each size."""
     for res in resolutions:
         for kind, sets in SCAN_PARAMS.items():
             for params in sets:
                 yield kind, params, {"resolution": res}
                 yield InequalityKind.TRACE_BOUND, params, {"resolution": res}
         for params in SCAN_PARAMS[InequalityKind.XI_PRIME]:
-            yield InequalityKind.XI_PRIME, params, {"resolution": res, "scan_times": (0, 0.5, 2)}
+            yield InequalityKind.XI_PRIME, params, {"resolution": res}
     for n in samples:
         for rho, seed in ((-1.0, 0), (0.0, 1), (0.2, 7)):
             yield InequalityKind.TRACE_BOUND, FlowParams(rho=rho), {"samples": n, "seed": seed}
@@ -198,7 +199,6 @@ def test_trace_bound_grid_mode():
     assert rep.min_margin >= 0.0
     # the region is every ordered state: the whole slice, no boundary
     assert (rep.points_checked, rep.near_boundary_points) == (40 * 40, 0)
-    assert rep.scan_times is None
 
 
 def test_trace_bound_random_mode():
@@ -209,8 +209,8 @@ def test_trace_bound_random_mode():
     assert rep.violations == 0
     assert rep.samples == 20_000
     assert rep.seed == 4
-    # random mode reads neither a grid nor a scan time
-    assert rep.resolution is None and rep.scan_times is None
+    # random mode reads no grid
+    assert rep.resolution is None
     # the isotropic injections must sit exactly on the equality case
     assert rep.injected_max_abs_margin <= 1e-12
     again = scan_inequality(
@@ -403,18 +403,6 @@ def test_suites_reject_runs_that_check_nothing(argument, n):
         EMPTY_RUNS[argument](n)
 
 
-def test_grid_scan_needs_a_scan_time():
-    with pytest.raises(ValueError, match="scan_times"):
-        scan_inequality(InequalityKind.J_NEG_TRACE, P_NEG, resolution=10, scan_times=())
-
-
-@pytest.mark.parametrize("scan_time", [math.nan, math.inf, -math.inf])
-def test_grid_scan_rejects_a_non_finite_scan_time(scan_time):
-    p = FlowParams(rho=-0.5, eta=1.0, theta=1.0)
-    with pytest.raises(ValueError, match="scan_times must be finite"):
-        scan_inequality(InequalityKind.XI_PRIME, p, resolution=10, scan_times=(0.0, scan_time))
-
-
 NAN_TOL_RUNS = {
     "grid scan": lambda tol: scan_inequality(
         InequalityKind.J_NEG_TRACE, P_NEG, resolution=10, tol=tol),
@@ -586,6 +574,20 @@ def test_deriv_suite_reports_worst_trajectory_and_work():
     assert rep.max_discrepancy == per_traj[rep.worst_trajectory]
 
 
+def test_deriv_suite_evaluates_each_trajectory_once(monkeypatch):
+    # the windows at h and h/2 share one dense call per trajectory
+    calls = []
+    real = verifier.Trajectory.eval_many
+
+    def counted(traj, ts):
+        calls.append(len(ts))
+        return real(traj, ts)
+
+    monkeypatch.setattr(verifier.Trajectory, "eval_many", counted)
+    deriv_suite(QuantityKind.LAMBDA_PINCH, P_NEG, trajectories=20)
+    assert calls == [2 * 3 * 33] * 20
+
+
 def test_each_suite_keeps_its_worst_lane_rule(monkeypatch):
     # invariance names the first strictly lowest drift below -tol, and
     # none when no drift is below inf; deriv-check names a trajectory
@@ -602,7 +604,7 @@ def test_each_suite_keeps_its_worst_lane_rule(monkeypatch):
         assert (rep.worst_drift, rep.violating_seed) == want
 
     flat = verifier.DerivReport(QuantityKind.LAMBDA_PINCH, 1e-4, 0.0, 33)
-    monkeypatch.setattr(verifier, "derivative_consistency", lambda *args: flat)
+    monkeypatch.setattr(verifier, "_deriv_reports", lambda *args: [flat, flat])
     rep = deriv_suite(QuantityKind.LAMBDA_PINCH, P_NEG, trajectories=3)
     assert (rep.max_discrepancy, rep.worst_trajectory) == (0.0, None)
 
