@@ -25,6 +25,12 @@ def run(args):
     return main([str(a) for a in args])
 
 
+def unrecognized(flags):
+    """The whole stderr of a run refused for flags no subcommand reads."""
+    return (_build_parser().format_usage()
+            + f"pinchlab: error: unrecognized arguments: {flags}\n")
+
+
 # ----------------------------------------------------------------- simulate
 
 
@@ -168,23 +174,31 @@ def test_trace_bound_random_cli(tmp_path):
     assert doc["report"]["injected_max_abs_margin"] <= 1e-12
 
 
-# each option given to a scan must be one its mode and kind read
+# each option given to a scan must be one its mode and kind read; xi-prime
+# is scanned at t = 0 only, so --scan-time is read by no mode and no kind
 UNREAD_SCAN_OPTIONS = {
     "seed without samples": (
         ["--kind", "j-neg-trace", "--rho", "-1", "--resolution", "20", "--seed", "7"],
-        "--seed needs --samples"),
+        "error: --seed needs --samples\n"),
     "resolution with samples": (
         ["--kind", "trace-bound", "--rho", "0", "--samples", "100", "--resolution", "3"],
-        "--resolution cannot be used with --samples"),
+        "error: --resolution cannot be used with --samples\n"),
+    "scan time with samples": (
+        ["--kind", "trace-bound", "--rho", "0", "--samples", "100", "--scan-time", "5"],
+        unrecognized("--scan-time 5")),
+    "scan time for a kind with no time term": (
+        ["--kind", "j-neg-trace", "--rho", "-1", "--resolution", "20",
+         "--scan-time", "0.5", "--scan-time", "2"],
+        unrecognized("--scan-time 0.5 --scan-time 2")),
 }
 
 
 @pytest.mark.parametrize("case", list(UNREAD_SCAN_OPTIONS))
 def test_scan_refuses_options_its_mode_does_not_read(case, tmp_path, capsys):
-    args, message = UNREAD_SCAN_OPTIONS[case]
+    args, err = UNREAD_SCAN_OPTIONS[case]
     out = tmp_path / "never.json"
     assert run(["scan", *args, "--out", out]) == 2
-    assert capsys.readouterr().err == f"error: {message}\n"
+    assert capsys.readouterr().err == err
     assert not out.exists()
 
 
@@ -426,17 +440,24 @@ def test_config_numbers_are_not_cast_loosely(case, tmp_path, capsys):
 
 
 NAN_FLAGS = {
-    "command.tol": ["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
-                    "--trajectories", "2", "--tol", "nan"],
-    "params.rho": ["scan", "--kind", "j-neg-trace", "--rho", "nan"],
+    "command.tol": (["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
+                     "--trajectories", "2", "--tol", "nan"],
+                    "error: config value command.tol must be float, got nan\n"),
+    # a NaN scan time once broke the scan's argmin; the flag is gone
+    "command.scan_times": (["scan", "--kind", "xi-prime", "--rho", "-0.5", "--eta", "1",
+                            "--scan-time", "nan"],
+                           unrecognized("--scan-time nan")),
+    "params.rho": (["scan", "--kind", "j-neg-trace", "--rho", "nan"],
+                   "error: config value params.rho must be float, got nan\n"),
 }
 
 
 @pytest.mark.parametrize("key", list(NAN_FLAGS))
 def test_nan_flag_is_usage_error(key, tmp_path, capsys):
     # a NaN tolerance passed every comparison-based verdict
-    assert run(NAN_FLAGS[key] + ["--out", tmp_path / "never.json"]) == 2
-    assert capsys.readouterr().err == f"error: config value {key} must be float, got nan\n"
+    args, err = NAN_FLAGS[key]
+    assert run(args + ["--out", tmp_path / "never.json"]) == 2
+    assert capsys.readouterr().err == err
     assert not (tmp_path / "never.json").exists()
 
 
@@ -540,3 +561,17 @@ def test_reused_parser_matches_fresh_process(tmp_path, capsys, monkeypatch):
         for p in here.iterdir():
             assert p.read_bytes() == (there / p.name).read_bytes()
     assert (tmp_path / "here2" / "sim.csv").exists()
+
+
+def test_repeated_scan_times_do_not_accumulate(tmp_path, capsys):
+    # --scan-time, the one option that could be repeated, is gone: each
+    # run refuses all of its copies alike, and a run without it reports
+    # no scan times
+    args = ["scan", "--kind=xi-prime", "--rho=-0.5", "--eta=1", "--theta=1"]
+    repeated = ["--scan-time=0", "--scan-time=0.01"]
+    for name in ("a.json", "b.json"):
+        assert run(args + repeated + [f"--out={tmp_path / name}"]) == 2
+        assert capsys.readouterr().err == unrecognized(" ".join(repeated))
+        assert not (tmp_path / name).exists()
+    assert run(args + [f"--out={tmp_path / 'c.json'}"]) == 0
+    assert "scan_times" not in json.loads((tmp_path / "c.json").read_text())["report"]
