@@ -7,23 +7,29 @@ Natural logarithms throughout.  The central objects:
   f(x) = x (log x - 2(1-2 rho)) / (2(1-2 rho)) on [e^{1-4 rho}, oo),
   whose graph bounds the preserved region relating the trace to the
   smallest Ricci eigenvalue.
-* ``lambda_pinch`` - the logarithmic pinching quantity
-  -lam/(mu+nu) - log(-mu-nu)/(2(1-2 rho)), defined where mu+nu < 0.
+* ``lambda_pinch_array`` - the logarithmic pinching quantity
+  -lam/(mu+nu) - log(-mu-nu)/(2(1-2 rho)), defined where mu+nu < 0, and
+  ``lambda_pinch_rate_array``, its closed-form rate along the flow.
 * ``j_poly_array`` - the degree-3 polynomial controlling the time
   derivative of ``lambda_pinch`` along the reaction flow:
   d/dt lambda_pinch = 2 (mu+nu)^{-2} J.
 * ``i_poly_array`` - the degree-3 polynomial controlling the derivative
   of ``xi_pinch`` for the nonnegative-rho cone (theta = 1, eta = -4).
-* ``xi_pinch`` - the time-dependent pinching quantity
-  (lam+mu+nu)/(-nu) - theta log(-nu) - theta log(1 + 2(1+eta rho) t).
+* ``xi_pinch_array`` - the time-dependent pinching quantity
+  (lam+mu+nu)/(-nu) - theta log(-nu) - theta log(1 + 2(1+eta rho) t),
+  defined where nu < 0, and ``xi_pinch_rate_array``, its closed-form rate.
 * ``estimate_rhs_array`` - right-hand sides of the three lower bounds for the
   scalar curvature in terms of its most negative eigenvalue direction.
 
-The pinching quantities and their rates take one
-:class:`~pinchlab.eigen_ode.EigenTriple`; the ``*_array`` kernels take
-aligned coordinate arrays or plain floats, one kernel per formula.
-Each variant's parameter window and both time factors are stated once,
-on :class:`~pinchlab.eigen_ode.FlowParams`.
+The ``*_array`` kernels take aligned coordinate arrays or plain floats,
+one kernel per formula; a domain check names the first entry that
+fails it, and NaN fails every check.  ``lambda_pinch``,
+``lambda_pinch_rate``, ``xi_pinch`` and ``xi_pinch_rate`` evaluate
+their kernels at one :class:`~pinchlab.eigen_ode.EigenTriple`.  The
+pinching kernels take logarithms through ``math.log``, one element at
+a time, so a batch keeps the bits of its one-triple evaluations.  Each
+variant's parameter window and both time factors are stated once, on
+:class:`~pinchlab.eigen_ode.FlowParams`.
 """
 
 from __future__ import annotations
@@ -48,6 +54,10 @@ __all__ = [
     "lambda_pinch_rate",
     "xi_pinch",
     "xi_pinch_rate",
+    "lambda_pinch_array",
+    "lambda_pinch_rate_array",
+    "xi_pinch_array",
+    "xi_pinch_rate_array",
     "estimate_rhs_array",
     "validate_variant_params",
     "j_poly_array",
@@ -177,12 +187,32 @@ def f_inverse(y, params: FlowParams):
 # pinching quantities and their polynomial derivatives
 
 
-def lambda_pinch(state: EigenTriple, params: FlowParams) -> float:
+def _require(ok, x, condition: str) -> None:
+    """Raise DomainError naming the first entry of ``x`` (C order) where
+    ``ok`` is False; ``ok`` is a strict comparison, so NaN fails it."""
+    ok = np.ravel(ok)
+    if not ok.all():
+        raise DomainError(f"{condition}, got {float(np.ravel(x)[ok.argmin()])}")
+
+
+def _log(x):
+    """math.log elementwise, as an array of x's shape: numpy's vector log
+    rounds some arguments differently, and each kernel keeps the bits of
+    its one-triple evaluation in scalar arithmetic."""
+    x = np.asarray(x, dtype=float)
+    return np.fromiter(map(math.log, x.ravel().tolist()), float, x.size).reshape(x.shape)
+
+
+def lambda_pinch_array(l, m, n, rho: float):
     """-lam/(mu+nu) - log(-mu-nu)/(2(1-2 rho)); needs mu+nu < 0."""
-    mn = state.mu + state.nu
-    if mn >= 0:
-        raise DomainError(f"lambda_pinch needs mu+nu < 0, got {mn}")
-    return -state.lam / mn - math.log(-mn) / (2.0 * (1.0 - 2.0 * params.rho))
+    mn = m + n
+    _require(mn < 0, mn, "lambda_pinch needs mu+nu < 0")
+    return -l / mn - _log(-mn) / (2.0 * (1.0 - 2.0 * rho))
+
+
+def lambda_pinch(state: EigenTriple, params: FlowParams) -> float:
+    """``lambda_pinch_array`` at one triple."""
+    return float(lambda_pinch_array(state.lam, state.mu, state.nu, params.rho))
 
 
 def j_poly_array(l, m, n, rho: float):
@@ -198,13 +228,16 @@ def j_poly_array(l, m, n, rho: float):
     )
 
 
-def lambda_pinch_rate(state: EigenTriple, params: FlowParams) -> float:
+def lambda_pinch_rate_array(l, m, n, rho: float):
     """Closed-form time derivative of ``lambda_pinch`` along the flow."""
-    mn = state.mu + state.nu
-    if mn >= 0:
-        raise DomainError(f"lambda_pinch_rate needs mu+nu < 0, got {mn}")
-    j = float(j_poly_array(state.lam, state.mu, state.nu, params.rho))
-    return 2.0 * j / (mn * mn)
+    mn = m + n
+    _require(mn < 0, mn, "lambda_pinch_rate needs mu+nu < 0")
+    return 2.0 * j_poly_array(l, m, n, rho) / (mn * mn)
+
+
+def lambda_pinch_rate(state: EigenTriple, params: FlowParams) -> float:
+    """``lambda_pinch_rate_array`` at one triple."""
+    return float(lambda_pinch_rate_array(state.lam, state.mu, state.nu, params.rho))
 
 
 def i_poly_array(l, m, n, rho: float):
@@ -219,42 +252,46 @@ def i_poly_array(l, m, n, rho: float):
     )
 
 
-def _cone_time_factor(params: FlowParams, t: float) -> float:
-    """The sectional time factor at t, checked positive."""
+def _cone_time_factor(params: FlowParams, t):
+    """The sectional time factor at t (float or array), checked positive."""
     params.require_cone_admissible()
     tf = params.sectional_time_factor(t)
-    if tf <= 0:
-        raise DomainError(f"time factor 1+2(1+eta*rho)t must be > 0, got {tf}")
+    _require(tf > 0, tf, "time factor 1+2(1+eta*rho)t must be > 0")
     return tf
 
 
-def xi_pinch(state: EigenTriple, params: FlowParams, t: float) -> float:
-    """(lam+mu+nu)/(-nu) - theta log(-nu) - theta log(1+2(1+eta rho)t)."""
+def xi_pinch_array(l, m, n, params: FlowParams, t):
+    """(lam+mu+nu)/(-nu) - theta log(-nu) - theta log(1+2(1+eta rho)t);
+    ``t`` broadcasts against the triples."""
     tf = _cone_time_factor(params, t)
-    if state.nu >= 0:
-        raise DomainError(f"xi_pinch needs nu < 0, got {state.nu}")
+    _require(n < 0, n, "xi_pinch needs nu < 0")
+    th = params.theta
+    return (l + m + n) / (-n) - th * _log(-n) - th * _log(tf)
+
+
+def xi_pinch(state: EigenTriple, params: FlowParams, t: float) -> float:
+    """``xi_pinch_array`` at one triple."""
+    return float(xi_pinch_array(state.lam, state.mu, state.nu, params, t))
+
+
+def xi_pinch_rate_array(l, m, n, params: FlowParams, t):
+    """Closed-form time derivative of ``xi_pinch`` along the flow,
+    including the explicit time term (no trigger substitution)."""
+    tf = _cone_time_factor(params, t)
+    _require(n < 0, n, "xi_pinch_rate needs nu < 0")
+    dl, dm, dn = rhs_array(l, m, n, params.rho)
+    th = params.theta
     return (
-        state.trace / (-state.nu)
-        - params.theta * math.log(-state.nu)
-        - params.theta * math.log(tf)
+        (dl + dm + dn) / (-n)
+        + (l + m + n) * dn / (n * n)
+        - th * dn / n
+        - 2.0 * th * params.eta_factor / tf
     )
 
 
 def xi_pinch_rate(state: EigenTriple, params: FlowParams, t: float) -> float:
-    """Closed-form time derivative of ``xi_pinch`` along the flow,
-    including the explicit time term (no trigger substitution)."""
-    tf = _cone_time_factor(params, t)
-    if state.nu >= 0:
-        raise DomainError(f"xi_pinch_rate needs nu < 0, got {state.nu}")
-    l, m, n = state.as_tuple()
-    dl, dm, dn = rhs_array(l, m, n, params.rho)
-    trace_rate = dl + dm + dn
-    return (
-        trace_rate / (-n)
-        + state.trace * dn / (n * n)
-        - params.theta * dn / n
-        - 2.0 * params.theta * params.eta_factor / tf
-    )
+    """``xi_pinch_rate_array`` at one triple."""
+    return float(xi_pinch_rate_array(state.lam, state.mu, state.nu, params, t))
 
 
 def xi_prime_numerator_array(l, m, n, params: FlowParams):
@@ -308,9 +345,10 @@ def estimate_rhs_array(variant: EstimateVariant, smallest, params: FlowParams, t
     validate_variant_params(variant, params)
     smallest = np.asarray(smallest, dtype=float)
     t = np.asarray(t, dtype=float)
-    if np.any(smallest >= 0):
+    # written to fail on NaN
+    if not np.all(smallest < 0):
         raise DomainError("estimate_rhs_array needs negative scalars everywhere")
-    if np.any(t < 0):
+    if not np.all(t >= 0):
         raise DomainError("estimate_rhs_array needs t >= 0 everywhere")
     rho = params.rho
     a = -smallest

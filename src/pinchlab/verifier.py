@@ -19,8 +19,9 @@ Four instruments:
 * ``derivative_consistency`` — central-difference vs closed-form rate
   for the two monotone quantities, the numerical cross-examination of
   the exact derivative identities.  A trajectory's windows, at h and
-  h/2 in ``deriv_suite``, are evaluated in one dense call, not one call
-  per difference point or per step.
+  h/2 in ``deriv_suite``, are evaluated in one dense call, and the
+  quantity and its rate in one kernel call each, not one call per
+  difference point or per step.
 
 Reports normalize drift by 1/(1+|trace|): raw membership margins grow
 like the state and are meaningless near blow-up, where time-shift error
@@ -54,10 +55,14 @@ from .pinch_functions import (
     i_poly_array,
     j_poly_array,
     lambda_pinch,
+    lambda_pinch_array,
     lambda_pinch_rate,
+    lambda_pinch_rate_array,
     validate_variant_params,
     xi_pinch,
+    xi_pinch_array,
     xi_pinch_rate,
+    xi_pinch_rate_array,
     xi_prime_numerator_array,
 )
 
@@ -721,7 +726,9 @@ def derivative_consistency(
     The window is evaluated in one dense call: all ``3 * points`` times
     (tau + h, tau - h, tau) go through one ``eval_many``, whose rows are
     bit-identical to one-point evaluations, and the quantity and its
-    rate are then taken point by point in scalar arithmetic.
+    rate each go through one array kernel, with the bits of the
+    one-triple functions.  A DomainError names the first offending
+    point in (tau + h, tau - h, tau) order, point by point.
     """
     return _deriv_reports(traj, quantity, params, (h,), points)[0]
 
@@ -731,38 +738,56 @@ def _deriv_reports(
     hs: Sequence[float], points: int,
 ) -> list[DerivReport]:
     """``derivative_consistency`` at each step in ``hs``, the windows of
-    every step evaluated in one ``eval_many`` call."""
+    every step evaluated in one ``eval_many`` call and one call of each
+    kernel."""
     t0, t1 = traj.t_start, traj.t_last
     for h in hs:
-        if h <= 0:
+        if not h > 0:
             raise ValueError("h must be positive")
         if t1 - t0 <= 4 * h:
             raise ValueError(f"window [{t0}, {t1}] too short for h={h}")
     taus = [np.linspace(t0 + 2 * h, t1 - 2 * h, points) for h in hs]
-
-    def value(state: EigenTriple, t: float) -> float:
+    ts = np.concatenate([t for h, tau in zip(hs, taus) for t in (tau + h, tau - h, tau)])
+    rows = traj.eval_many(ts)
+    # blocks of (step, slot, point); slots 0 and 1 hold tau +- h, slot 2 tau
+    ts = ts.reshape(len(hs), 3, points)
+    try:
+        if not np.isfinite(rows).all():
+            raise DomainError("eigenvalues must be finite")
+        lmn = np.sort(rows, axis=1)[:, ::-1].T.reshape(3, len(hs), 3, points)
+        shifted, centred = lmn[:, :, :2], lmn[:, :, 2]
         if quantity is QuantityKind.LAMBDA_PINCH:
-            return lambda_pinch(state, params)
-        return xi_pinch(state, params, t)
+            q = lambda_pinch_array(*shifted, params.rho)
+            cf = lambda_pinch_rate_array(*centred, params.rho)
+        else:
+            q = xi_pinch_array(*shifted, params, ts[:, :2])
+            cf = xi_pinch_rate_array(*centred, params, ts[:, 2])
+    except DomainError:
+        _raise_at_first_point(quantity, params, rows.reshape(len(hs), 3, points, 3), ts)
+        raise
+    fd = (q[:, 0] - q[:, 1]) / (2.0 * np.array(hs)[:, None])
+    # max() over a list starting at 0.0 replaces only on >, so a NaN never wins
+    return [
+        DerivReport(quantity, h, max([0.0, *d.tolist()]), checkpoints=points)
+        for h, d in zip(hs, np.abs(fd - cf))
+    ]
 
-    def rate(state: EigenTriple, t: float) -> float:
-        if quantity is QuantityKind.LAMBDA_PINCH:
-            return lambda_pinch_rate(state, params)
-        return xi_pinch_rate(state, params, t)
 
-    windows = [(tau + h, tau - h, tau) for h, tau in zip(hs, taus)]
-    rows = traj.eval_many(np.concatenate([t for w in windows for t in w]))
-    reports = []
-    for h, (tp, tm, tau), r in zip(hs, windows, rows.reshape(len(hs), 3, points, 3)):
-        worst = 0.0
-        for i in range(points):
-            qp = value(EigenTriple.sorted_from(*r[0, i]), tp[i])
-            qm = value(EigenTriple.sorted_from(*r[1, i]), tm[i])
-            fd = (qp - qm) / (2.0 * h)
-            cf = rate(EigenTriple.sorted_from(*r[2, i]), tau[i])
-            worst = max(worst, abs(fd - cf))
-        reports.append(DerivReport(quantity, h, worst, checkpoints=points))
-    return reports
+def _raise_at_first_point(
+    quantity: QuantityKind, params: FlowParams, rows: np.ndarray, ts: np.ndarray
+) -> None:
+    """Evaluate failed windows one triple at a time, in (tau + h, tau - h,
+    tau) order per point, so the DomainError raised names the first
+    offending point."""
+    for step_rows, step_ts in zip(rows, ts):
+        for i in range(step_ts.shape[1]):
+            for slot in range(3):
+                state = EigenTriple.sorted_from(*step_rows[slot, i])
+                if quantity is QuantityKind.LAMBDA_PINCH:
+                    (lambda_pinch_rate if slot == 2 else lambda_pinch)(state, params)
+                else:
+                    t = step_ts[slot, i]
+                    (xi_pinch_rate if slot == 2 else xi_pinch)(state, params, t)
 
 
 def _deriv_initial_states(

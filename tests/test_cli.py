@@ -358,6 +358,16 @@ def test_deriv_check_reports_worst_trajectory_and_checkpoints(tmp_path):
     assert f"report.worst_trajectory = {report['worst_trajectory']}" in text
 
 
+def test_deriv_check_window_leaving_the_domain_is_usage_error(tmp_path, capsys):
+    # one of the 5 lanes reaches nu = 0 before t_end = 1; the message was
+    # recorded from the point-by-point evaluation
+    out = tmp_path / "never.json"
+    assert run(["deriv-check", "--quantity", "xi-pinch", "--rho", "0.1", "--t-end", "1",
+                "--trajectories", "5", "--out", out]) == 2
+    assert capsys.readouterr().err == "error: xi_pinch needs nu < 0, got 0.00558798959820819\n"
+    assert not out.exists()
+
+
 # ------------------------------------------------------------ config files
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import warnings
 
@@ -17,9 +18,13 @@ from pinchlab import (
     f_pinch,
     f_range_min,
     lambda_pinch,
+    lambda_pinch_array,
     lambda_pinch_rate,
+    lambda_pinch_rate_array,
     xi_pinch,
+    xi_pinch_array,
     xi_pinch_rate,
+    xi_pinch_rate_array,
 )
 from pinchlab.eigen_ode import rhs_array
 from pinchlab.pinch_functions import (
@@ -290,6 +295,94 @@ def test_xi_numerator_homogeneous_degree_three_at_t0(triple, s):
     assert a == pytest.approx(s**3 * b, rel=1e-9, abs=1e-9)
 
 
+def test_xi_nan_time_raises():
+    # a NaN time fails the time-factor check instead of returning NaN
+    st_ = EigenTriple(3.0, -0.5, -0.8)
+    for fn in (xi_pinch, xi_pinch_rate):
+        with pytest.raises(DomainError, match=r"must be > 0, got nan$"):
+            fn(st_, P_XI, math.nan)
+
+
+# ------------------------------------------------- pinching-quantity kernels
+
+
+def _seeded_admissible(n, seed):
+    """n ordered triples with nu < 0 and mu+nu < 0 at log-uniform scales."""
+    rng = np.random.default_rng(seed)
+    lmn = -np.sort(-rng.uniform(-1.0, 1.0, (4 * n, 3)), axis=1)
+    lmn *= np.exp(rng.uniform(-7.0, 7.0, (4 * n, 1)))
+    lmn = lmn[(lmn[:, 1] + lmn[:, 2] < 0) & (lmn[:, 2] < 0)][:n]
+    assert len(lmn) == n
+    return lmn, np.exp(rng.uniform(-8.0, 5.0, n))
+
+
+@pytest.mark.parametrize("params", [P_NEG, P_XI, FlowParams(rho=0.1), FlowParams(rho=-3.0, eta=0.2)])
+def test_pinch_kernels_equal_one_triple_calls(params):
+    # one kernel per formula: a batch keeps the bits of each triple alone
+    lmn, t = _seeded_admissible(500, 11)
+    l, m, n = lmn.T
+    states = [EigenTriple(*row) for row in lmn.tolist()]
+    assert lambda_pinch_array(l, m, n, params.rho).tolist() == [
+        lambda_pinch(s, params) for s in states]
+    assert lambda_pinch_rate_array(l, m, n, params.rho).tolist() == [
+        lambda_pinch_rate(s, params) for s in states]
+    assert xi_pinch_array(l, m, n, params, t).tolist() == [
+        xi_pinch(s, params, ti) for s, ti in zip(states, t.tolist())]
+    assert xi_pinch_rate_array(l, m, n, params, t).tolist() == [
+        xi_pinch_rate(s, params, ti) for s, ti in zip(states, t.tolist())]
+
+
+def test_pinch_kernels_name_the_first_offending_entry():
+    l = np.array([2.0, 1.0, 1.0, 1.0])
+    m = np.array([-1.0, 0.5, np.nan, 0.75])
+    n = np.array([-1.5, -0.25, -1.0, 0.5])
+    with pytest.raises(DomainError, match=r"^lambda_pinch needs mu\+nu < 0, got 0.25$"):
+        lambda_pinch_array(l, m, n, -1.0)
+    with pytest.raises(DomainError, match=r"^lambda_pinch_rate needs mu\+nu < 0, got 0.25$"):
+        lambda_pinch_rate_array(l, m, n, -1.0)
+    with pytest.raises(DomainError, match=r"^lambda_pinch needs mu\+nu < 0, got nan$"):
+        lambda_pinch_array(l[2:3], m[2:3], n[2:3], -1.0)
+    with pytest.raises(DomainError, match=r"^xi_pinch needs nu < 0, got 0.5$"):
+        xi_pinch_array(l, m, n, P_XI, 0.0)
+    # the time factor is checked before nu, at each time
+    t = np.array([0.0, 1.0, -3.0, np.nan])
+    with pytest.raises(DomainError, match=r"must be > 0, got -2.0$"):
+        xi_pinch_rate_array(l, m, n, P_XI, t)
+    with pytest.raises(DomainError, match=r"1 \+ eta\*rho must be > 0"):
+        xi_pinch_array(l, m, n, FlowParams(rho=-0.5, eta=3.0), 0.0)
+
+
+def _scalar_digest(count):
+    """sha256 of the four scalar functions on seeded admissible triples,
+    parameters and times, as repr strings."""
+    rng = np.random.default_rng(2024)
+    h = hashlib.sha256()
+    n = 0
+    while n < count:
+        scale = math.exp(rng.uniform(-7, 7))
+        l, m, nu = sorted((rng.uniform(-1, 1, 3) * scale).tolist(), reverse=True)
+        st_ = EigenTriple(l, m, nu)
+        p = FlowParams(rho=float(rng.uniform(-3, 0.24)), eta=float(rng.uniform(-4, 4)),
+                       theta=float(math.exp(rng.uniform(-2, 2))))
+        t = float(math.exp(rng.uniform(-8, 5))) if rng.uniform() < 0.9 else 0.0
+        out = []
+        if m + nu < 0:
+            out += [lambda_pinch(st_, p), lambda_pinch_rate(st_, p)]
+        if nu < 0 and p.eta_factor > 0 and p.sectional_time_factor(t) > 0:
+            out += [xi_pinch(st_, p, t), xi_pinch_rate(st_, p, t)]
+        if out:
+            n += 1
+            h.update((" ".join(map(repr, out)) + "\n").encode())
+    return h.hexdigest()
+
+
+def test_scalar_pinching_values_are_pinned():
+    # recorded from the scalar bodies the kernels replaced
+    assert _scalar_digest(10_000) == (
+        "cd063f722780a99564a170b150b9b1bfe28ef70a05b2b36bfcd619920f3dce62"
+    )
+
+
 # ------------------------------------------------------ estimate right side
 
 
@@ -306,6 +399,16 @@ def test_estimate_rhs_hand_values():
         rhs(EstimateVariant.NEG_RHO_SCALAR, 0.0, P_NEG, 0.0)
     with pytest.raises(DomainError):
         rhs(EstimateVariant.NEG_RHO_SCALAR, -1.0, P_NEG, -0.1)
+
+
+@pytest.mark.parametrize("variant", list(EstimateVariant))
+def test_estimate_rhs_rejects_nan(variant):
+    p = {EstimateVariant.NEG_RHO_SCALAR: P_NEG, EstimateVariant.NEG_RHO_SECTIONAL: P_XI,
+         EstimateVariant.NONNEG_RHO: FlowParams(rho=0.1)}[variant]
+    with pytest.raises(DomainError, match="negative scalars everywhere"):
+        estimate_rhs_array(variant, [-1.0, math.nan], p, 0.0)
+    with pytest.raises(DomainError, match="t >= 0 everywhere"):
+        estimate_rhs_array(variant, -2.0, p, [0.5, math.nan])
 
 
 def test_estimate_rhs_superlinear_for_deep_negatives():

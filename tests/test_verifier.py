@@ -26,7 +26,7 @@ from pinchlab import (
     invariance_is_claimed,
     scan_inequality,
 )
-from pinchlab import verifier
+from pinchlab import pinch_functions, verifier
 from pinchlab.cone_sets import sample_set
 from pinchlab.pinch_functions import estimate_rhs_array
 from pinchlab.verifier import _deriv_initial_states, _drift, _estimate_initial_states
@@ -586,6 +586,114 @@ def test_deriv_suite_evaluates_each_trajectory_once(monkeypatch):
     monkeypatch.setattr(verifier.Trajectory, "eval_many", counted)
     deriv_suite(QuantityKind.LAMBDA_PINCH, P_NEG, trajectories=20)
     assert calls == [2 * 3 * 33] * 20
+
+
+@pytest.mark.parametrize("quantity", list(QuantityKind))
+def test_deriv_suite_calls_each_kernel_once_per_trajectory(quantity, monkeypatch):
+    # one value and one rate kernel call per trajectory serve every point
+    # at h and h/2; no one-triple function runs
+    p = P_NEG if quantity is QuantityKind.LAMBDA_PINCH else FlowParams(rho=0.1)
+    names = ["lambda_pinch", "lambda_pinch_rate", "xi_pinch", "xi_pinch_rate"]
+    calls = dict.fromkeys(names + [f"{name}_array" for name in names], 0)
+
+    def counted(name):
+        real = getattr(pinch_functions, name, None)  # a missing kernel counts 0
+
+        def call(*args):
+            calls[name] += 1
+            return real(*args)
+        return call
+
+    for name in calls:
+        monkeypatch.setattr(verifier, name, counted(name), raising=False)
+    deriv_suite(quantity, p, trajectories=20)
+    prefix = "lambda" if quantity is QuantityKind.LAMBDA_PINCH else "xi"
+    want = {name: 20 if name.startswith(prefix) and name.endswith("_array") else 0
+            for name in calls}
+    assert calls == want
+
+
+def test_derivative_consistency_rejects_nan_h():
+    traj = integrate(EigenTriple(0.5, -0.8, -0.9), P_NEG, 0.0, 0.01)
+    with pytest.raises(ValueError, match="^h must be positive$"):
+        derivative_consistency(traj, QuantityKind.LAMBDA_PINCH, P_NEG, h=math.nan)
+
+
+@pytest.mark.parametrize("state,params,quantity,t_end,message", [
+    (EigenTriple(1.0, 0.9, -1.0), FlowParams(rho=-0.1), QuantityKind.LAMBDA_PINCH, 0.5,
+     "lambda_pinch needs mu+nu < 0, got 0.042760021881292576"),
+    (EigenTriple(0.8, 0.8, -1.0), FlowParams(rho=0.1), QuantityKind.XI_PINCH, 0.6,
+     "xi_pinch needs nu < 0, got 0.030384869162761275"),
+])
+def test_deriv_window_leaving_the_domain_is_named(state, params, quantity, t_end, message):
+    # recorded from the point-by-point evaluation: mu+nu (nu) crosses 0
+    # inside the window, and the first point past it is a tau + h one
+    traj = integrate(state, params, 0.0, t_end)
+    with pytest.raises(DomainError) as info:
+        derivative_consistency(traj, quantity, params)
+    assert str(info.value) == message
+
+
+class _WindowStub:
+    """A trajectory on [0, 1] at (1, -0.5, -1), except at the given times."""
+
+    t_start, t_last = 0.0, 1.0
+
+    def __init__(self, special):
+        self.special = special
+
+    def eval_many(self, ts):
+        rows = np.tile([1.0, -0.5, -1.0], (len(ts), 1))
+        for t, row in self.special.items():
+            rows[ts == t] = row
+        return rows
+
+
+_TAU = np.linspace(2e-4, 1.0 - 2e-4, 33)  # the window's points at h = 1e-4
+
+
+@pytest.mark.parametrize("special,quantity,message", [
+    ({_TAU[5]: (1.0, 0.75, -0.5), _TAU[7] + 1e-4: (1.0, 0.5, -0.125)},
+     QuantityKind.LAMBDA_PINCH, "lambda_pinch_rate needs mu+nu < 0, got 0.25"),
+    ({_TAU[5] - 1e-4: (1.0, 0.75, -0.5), _TAU[6]: (1.0, 0.5, -0.125)},
+     QuantityKind.LAMBDA_PINCH, "lambda_pinch needs mu+nu < 0, got 0.25"),
+    ({_TAU[5]: (1.0, 0.75, 0.5), _TAU[7] + 1e-4: (1.0, 0.5, 0.25)},
+     QuantityKind.XI_PINCH, "xi_pinch_rate needs nu < 0, got 0.5"),
+    ({_TAU[5] + 1e-4: (0.5, 0.75, -0.25), _TAU[9]: (np.nan, 0.5, -1.0)},
+     QuantityKind.LAMBDA_PINCH, "lambda_pinch needs mu+nu < 0, got 0.25"),
+    ({_TAU[3] - 1e-4: (0.5, np.inf, -3.0), _TAU[9]: (0.5, 0.75, -0.25)},
+     QuantityKind.LAMBDA_PINCH,
+     "eigenvalues must be finite, got (np.float64(inf), np.float64(0.5), np.float64(-3.0))"),
+])
+def test_deriv_domain_error_names_the_first_point_in_window_order(special, quantity, message):
+    # order per point: tau + h, tau - h, then tau; recorded from the
+    # point-by-point evaluation
+    p = P_NEG if quantity is QuantityKind.LAMBDA_PINCH else FlowParams(rho=0.1)
+    with pytest.raises(DomainError) as info:
+        derivative_consistency(_WindowStub(special), quantity, p)
+    assert str(info.value) == message
+
+
+DERIV_SUITE_DIGEST_RUNS = [
+    (QuantityKind.LAMBDA_PINCH, FlowParams(rho=-1.0)),
+    (QuantityKind.LAMBDA_PINCH, FlowParams(rho=-0.1)),
+    (QuantityKind.XI_PINCH, FlowParams(rho=0.1, eta=-4.0, theta=1.0)),
+    (QuantityKind.XI_PINCH, FlowParams(rho=-0.5, eta=1.0, theta=1.0)),
+]
+
+
+def test_deriv_suites_are_pinned_by_digest():
+    # seeds 0-9 of four parameter sets, recorded from the point-by-point
+    # evaluation of the quantities and their rates
+    h = hashlib.sha256()
+    for quantity, p in DERIV_SUITE_DIGEST_RUNS:
+        for seed in range(10):
+            rep = deriv_suite(quantity, p, seed=seed)
+            fields = (rep.max_discrepancy, rep.max_discrepancy_half_h, rep.decay_ratio,
+                      rep.worst_trajectory, rep.checkpoints)
+            line = " ".join(repr(None if v is None else float(v)) for v in fields)
+            h.update(line.encode() + b"\n")
+    assert h.hexdigest() == "8b465ebdc3bf30021e3884b4273e6f55d2fb3605ee8febf2885e1290adfad998"
 
 
 def test_each_suite_keeps_its_worst_lane_rule(monkeypatch):
