@@ -9,129 +9,22 @@ invariance, and curvature-bound claim at desk scale.
 
 __version__ = "0.1.0"
 
-from .cone_sets import (
-    MembershipResult,
-    SetKind,
-    SetSpec,
-    margin_array,
-    membership,
-    sample_set,
-    standard_trigger_events,
-)
-from .eigen_ode import (
-    RHO_MAX,
-    EigenTriple,
-    FlowParams,
-    isotropic_solution,
-    rhs_array,
-)
-from .errors import (
-    BlowUpReached,
-    DomainError,
-    EmptyRegion,
-    HypothesisViolated,
-    OutOfRange,
-    SamplingExhausted,
-)
-from .integrator import (
-    BLOWUP,
-    REACHED_END,
-    STEP_LIMIT,
-    EventRecord,
-    IntegratorConfig,
-    TerminalStatus,
-    Trajectory,
-    integrate,
-)
-from .pinch_functions import (
-    EstimateVariant,
-    estimate_rhs_array,
-    f_domain_min,
-    f_inverse,
-    f_pinch,
-    f_range_min,
-    lambda_pinch,
-    lambda_pinch_array,
-    lambda_pinch_rate,
-    lambda_pinch_rate_array,
-    xi_pinch,
-    xi_pinch_array,
-    xi_pinch_rate,
-    xi_pinch_rate_array,
-)
-from .verifier import (
-    DerivReport,
-    DerivSuiteReport,
-    EstimateReport,
-    EstimateSuiteReport,
-    InequalityKind,
-    InvarianceReport,
-    QuantityKind,
-    ScanReport,
-    check_estimate,
-    check_invariance,
-    deriv_suite,
-    derivative_consistency,
-    estimate_suite,
-    invariance_is_claimed,
-    scan_inequality,
-)
+# the package exports each module's __all__, so a name is listed once,
+# in the module that defines it
+from . import cone_sets, eigen_ode, errors, integrator, pinch_functions, verifier
+from .cone_sets import *
+from .eigen_ode import *
+from .errors import *
+from .integrator import *
+from .pinch_functions import *
+from .verifier import *
 
 __all__ = [
     "__version__",
-    "RHO_MAX",
-    "EigenTriple",
-    "FlowParams",
-    "rhs_array",
-    "isotropic_solution",
-    "EstimateVariant",
-    "f_pinch",
-    "f_inverse",
-    "f_domain_min",
-    "f_range_min",
-    "lambda_pinch",
-    "lambda_pinch_rate",
-    "xi_pinch",
-    "xi_pinch_rate",
-    "lambda_pinch_array",
-    "lambda_pinch_rate_array",
-    "xi_pinch_array",
-    "xi_pinch_rate_array",
-    "estimate_rhs_array",
-    "IntegratorConfig",
-    "Trajectory",
-    "TerminalStatus",
-    "EventRecord",
-    "integrate",
-    "REACHED_END",
-    "BLOWUP",
-    "STEP_LIMIT",
-    "SetKind",
-    "SetSpec",
-    "MembershipResult",
-    "membership",
-    "margin_array",
-    "sample_set",
-    "standard_trigger_events",
-    "InequalityKind",
-    "QuantityKind",
-    "ScanReport",
-    "InvarianceReport",
-    "EstimateReport",
-    "EstimateSuiteReport",
-    "DerivReport",
-    "DerivSuiteReport",
-    "scan_inequality",
-    "check_invariance",
-    "invariance_is_claimed",
-    "check_estimate",
-    "estimate_suite",
-    "derivative_consistency",
-    "deriv_suite",
-    "DomainError",
-    "BlowUpReached",
-    "OutOfRange",
-    "SamplingExhausted",
-    "EmptyRegion",
-    "HypothesisViolated",
+    *cone_sets.__all__,
+    *eigen_ode.__all__,
+    *errors.__all__,
+    *integrator.__all__,
+    *pinch_functions.__all__,
+    *verifier.__all__,
 ]

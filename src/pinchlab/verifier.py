@@ -148,7 +148,9 @@ def _grid_blocks(kind: InequalityKind, resolution: int):
     that face a holds.  Both keep c <= r.  A block is a run of rows of
     one face; it yields the ``lam, mu, nu`` columns of its points inside
     the region and how many of them lie within 2/resolution of the
-    region's boundary.
+    region's boundary.  The face's constant coordinate (lam = 1 on face
+    a, nu = -1 on face b) is a zero-stride view of the float: no column
+    of it is gathered, and every column still holds one entry per point.
     """
     xs = np.linspace(-1.0, 1.0, resolution)
     step = max(1, _BLOCK // resolution)
@@ -178,7 +180,9 @@ def _grid_blocks(kind: InequalityKind, resolution: int):
             near = 0
             if slack is not None:  # every ordered state is in the trace-bound region
                 near = int((np.broadcast_to(slack, keep.shape)[keep] < 2.0 / resolution).sum())
-            yield (*(np.broadcast_to(v, keep.shape)[keep] for v in (lam, mu, nu)), near)
+            rows, cols = (np.broadcast_to(v, keep.shape)[keep] for v in (rows, cols))
+            const = np.broadcast_to(lam if face_a else nu, rows.shape)
+            yield (const, rows, cols, near) if face_a else (rows, cols, const, near)
 
 
 _ISO_INJECT = (1.0, -1.0, 0.5, -2.0, 3.25)
@@ -224,9 +228,9 @@ def _margin_for(kind: InequalityKind, lam, mu, nu, params: FlowParams):
         return j_poly_array(lam, mu, nu, rho)
     if kind is InequalityKind.J_NONNEG_TRACE:
         ric = mu + nu
-        # ric**3 (libm pow, slow at ric < 0) is kept for its rounding: as
-        # ric * ric * ric the minimum at resolution 41 moves by an ulp
-        return j_poly_array(lam, mu, nu, rho) - rho / (1.0 - 2.0 * rho) * ric**3
+        # products, not ric**3: numpy sends a negative base through scalar
+        # libm pow, 13x the products' time on a resolution-1500 scan
+        return j_poly_array(lam, mu, nu, rho) - rho / (1.0 - 2.0 * rho) * (ric * ric * ric)
     if kind is InequalityKind.I_POLY:
         return i_poly_array(lam, mu, nu, rho)
     if kind is InequalityKind.XI_PRIME:
@@ -243,6 +247,14 @@ def _lexicographic_argmin(margins: np.ndarray, lam, mu, nu) -> int:
         return int(cands[0])
     order = np.lexsort((nu[cands], mu[cands], lam[cands]))
     return int(cands[order[0]])
+
+
+def _require_integer(name: str, value) -> None:
+    """Raise TypeError naming ``name`` unless ``value`` is an integer
+    (bools excluded); range() and linspace would refuse a float later,
+    naming no argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def validate_tol(tol: float) -> None:
@@ -275,7 +287,7 @@ def scan_inequality(
     violation cutoff scaled per point by max(1, sup-norm)^3, plus a few
     injected isotropic states where the margin must vanish identically.
     The report holds ``resolution`` only in grid mode, where the verdict
-    read it.
+    read it; random mode neither reads nor checks it.
 
     Points are generated and reduced a block at a time: each block adds
     its violation and near-boundary counts and keeps the points tied at
@@ -285,27 +297,35 @@ def scan_inequality(
 
     Raises EmptyRegion when no grid point lands in the region.
     """
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    random_mode = samples is not None
+    if random_mode:
+        _require_integer("samples", samples)
+    else:
+        _require_integer("resolution", resolution)
+        if resolution < 2:
+            raise ValueError("resolution must be >= 2")
     validate_tol(tol)
     _validate_scan_params(kind, params)
-    if samples is not None and kind is not InequalityKind.TRACE_BOUND:
+    if random_mode and kind is not InequalityKind.TRACE_BOUND:
         raise ValueError("random-state mode exists only for trace-bound scans")
-    if samples is not None and samples <= 0:
+    if random_mode and samples <= 0:
         raise ValueError("samples must be positive")
 
-    random_mode = samples is not None
     blocks = _random_blocks(samples, seed) if random_mode else _grid_blocks(kind, resolution)
     points = violations = near = 0
     lowest, ties = math.inf, []
     for lam, mu, nu, near_block in blocks:
         margins = _margin_for(kind, lam, mu, nu, params)
-        cutoff = tol
-        if random_mode:
-            # the largest magnitude of an ordered triple sits at one of its ends
-            cutoff = tol * np.maximum(1.0, np.maximum(np.abs(lam), np.abs(nu))) ** 3
+        below = margins < -tol
+        if random_mode and below.any():
+            # the per-point cutoff tol * max(1, sup-norm)^3 is never below
+            # tol, so only points already below -tol can fall below it; the
+            # largest magnitude of an ordered triple sits at one of its ends
+            at = np.flatnonzero(below)
+            scale = np.maximum(1.0, np.maximum(np.abs(lam[at]), np.abs(nu[at])))
+            below = margins[at] < -(tol * scale**3)
         points += len(margins)
-        violations += int((margins < -cutoff).sum())
+        violations += int(below.sum())
         near += near_block
         low = margins.min()
         if low < lowest:

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -138,11 +139,17 @@ def scan_values(kind, params, kwargs):
 
 
 def test_scan_values_are_pinned():
+    # re-recorded when the j-nonneg-trace cube became ric * ric * ric:
+    # only the three resolution-41 j-nonneg-trace minima moved, each by
+    # one ulp (0.000458333333333332 -> 0.00045833333333333197 at
+    # rho = -0.1, 0.00033333333333333283 -> 0.0003333333333333328 at
+    # rho = -1, 0.00026190476190476224 -> 0.0002619047619047622 at
+    # rho = -10)
     text = "\n".join(
         scan_values(*case) for case in scan_cases((3, 4, 7, 41, 1500), (1, 5, 1000, 200_000))
     )
     assert hashlib.sha256(text.encode()).hexdigest() == (
-        "5460246d440c6a905d77648bb0481cb845e2836322b87e02f1c4547241167828"
+        "03bf827ef49b7bea1ddd43fdd3462f3cf010f50605ed4d014f6afb121add43f3"
     )
 
 
@@ -217,6 +224,101 @@ def test_trace_bound_random_mode():
         InequalityKind.TRACE_BOUND, FlowParams(rho=0.2), samples=20_000, seed=4
     )
     assert again == rep
+
+
+def _j_nonneg_margin_exact(lam, mu, nu, rho):
+    """J - rho/(1-2 rho) (mu+nu)^3 at the float inputs, exactly, and the
+    largest magnitude among the terms its float evaluation adds up."""
+    lam, mu, nu, rho = map(Fraction, (lam, mu, nu, rho))
+    mn, sq, d = mu + nu, mu * mu + nu * nu, 1 - 2 * rho
+    terms = [
+        lam * sq, -mn * mu * nu, -mn * sq / (2 * d), -lam * mn * mn / (2 * d),
+        rho * mn * mn * (lam + mu + nu) / d, -rho / d * mn**3,
+    ]
+    return sum(terms), max(abs(t) for t in terms)
+
+
+# (1, mu, mu) states where the resolution-41 and resolution-1500
+# j-nonneg-trace scans find their minimum, at each benchmark rho
+J_NONNEG_ARGMINS = [(1.0, -0.04999999999999993, -0.04999999999999993),
+                    (1.0, -0.0006671114076051143, -0.0006671114076051143)]
+
+
+@pytest.mark.parametrize("rho", [-0.1, -1.0, -10.0])
+def test_j_nonneg_margin_matches_exact_arithmetic(rho):
+    rng = np.random.default_rng(41)
+    draws = np.sort(rng.uniform(-1.0, 1.0, size=(2000, 3)), axis=1)[:, ::-1]
+    region = (draws.sum(axis=1) >= 0) & (draws[:, 1] + draws[:, 2] < 0)
+    states = np.vstack([draws[region][:200], J_NONNEG_ARGMINS])
+    margins = verifier._margin_for(
+        InequalityKind.J_NONNEG_TRACE, *states.T, FlowParams(rho=rho)
+    )
+    for state, got in zip(states.tolist(), margins.tolist()):
+        exact, largest = _j_nonneg_margin_exact(*state, rho)
+        # about twenty roundings; 25000 seeded states at rho from -1e-3
+        # to -1e3 stayed within 4.7 ulps of the largest term
+        assert abs(Fraction(got) - exact) <= 8 * Fraction(math.ulp(float(largest)))
+
+
+@pytest.mark.parametrize("tol", [0.0, 1e-3])
+def test_random_mode_counts_only_margins_below_the_scaled_cutoff(tol, monkeypatch):
+    # real trace-bound margins never fall below -tol, so plant margins
+    # on each side of each point's cutoff tol * max(1, sup-norm)^3
+    planted = []
+
+    def plant(kind, lam, mu, nu, params):
+        cutoff = tol * np.maximum(1.0, np.maximum(np.abs(lam), np.abs(nu))) ** 3
+        choices = np.stack([
+            np.nextafter(-cutoff, -np.inf),  # just below -cutoff: a violation
+            -cutoff,
+            -(tol + cutoff) / 2,  # inside (-cutoff, -tol) where cutoff > tol
+            np.full_like(cutoff, -tol),
+            np.zeros_like(cutoff),
+        ])
+        index = np.arange(len(cutoff))
+        margins = choices[index % len(choices), index]
+        if not planted:
+            # one NaN, in the first block only: a block holding a NaN
+            # drops out of the minimum, and a scan with no block left fails
+            margins[4] = np.nan
+        planted.append((margins, cutoff))
+        return margins
+
+    monkeypatch.setattr(verifier, "_margin_for", plant)
+    rep = scan_inequality(
+        InequalityKind.TRACE_BOUND, FlowParams(rho=0.0), tol=tol, samples=1000, seed=3
+    )
+    # reference: the cutoff applied at every point
+    reference = sum(int((margins < -cutoff).sum()) for margins, cutoff in planted)
+    just_below = sum(len(margins[::5]) for margins, _ in planted)
+    assert rep.violations == reference == just_below
+    between = np.concatenate([m[2::5] for m, _ in planted])
+    cutoffs = np.concatenate([c[2::5] for _, c in planted])
+    assert tol == 0.0 or ((-cutoffs < between) & (between < -tol)).sum() > 100
+
+
+@pytest.mark.parametrize(
+    "kwargs,message",
+    [
+        ({"samples": 1e6}, "samples must be an integer, got 1000000.0"),
+        ({"samples": True}, "samples must be an integer, got True"),
+        ({"resolution": 2.5}, "resolution must be an integer, got 2.5"),
+        ({"resolution": 40.0}, "resolution must be an integer, got 40.0"),
+    ],
+)
+def test_scan_refuses_non_integer_counts_by_name(kwargs, message):
+    with pytest.raises(TypeError, match=message):
+        scan_inequality(InequalityKind.TRACE_BOUND, P_NEG, **kwargs)
+
+
+def test_random_mode_does_not_read_resolution():
+    rep = scan_inequality(
+        InequalityKind.TRACE_BOUND, P_NEG, resolution=1, samples=10, seed=2
+    )
+    assert rep == scan_inequality(InequalityKind.TRACE_BOUND, P_NEG, samples=10, seed=2)
+    assert rep.resolution is None
+    grid = scan_inequality(InequalityKind.TRACE_BOUND, P_NEG, resolution=np.int64(5))
+    assert grid == scan_inequality(InequalityKind.TRACE_BOUND, P_NEG, resolution=5)
 
 
 # -------------------------------------------------------------- invariance
