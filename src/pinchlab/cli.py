@@ -186,12 +186,6 @@ def export_trajectory(
     and header only.
     """
     full = dict(meta or {})
-    spec_x = spec_w = spec_k = None
-    if params.neg_rho_window() is None:
-        spec_x = SetSpec(SetKind.RICCI_LOG_STATIC, params)
-        spec_w = SetSpec(SetKind.TRACE_POSITIVE_RICCI_LOG, params)
-    if params.eta_factor > 0:
-        spec_k = SetSpec(SetKind.SECTIONAL_LOG, params)
     rows: list[str] = []
     if traj is not None:
         full["terminal"] = traj.terminal
@@ -203,12 +197,17 @@ def export_trajectory(
         vals = traj.eval_many(ts)
         lam, mu, nu = vals[:, 0], vals[:, 1], vals[:, 2]
         trace = lam + mu + nu
-        nan = np.full(len(ts), np.nan)
-        m_x = margin_array(spec_x, lam, mu, nu, 0.0) if spec_x else nan
-        m_w = margin_array(spec_w, lam, mu, nu, ts) if spec_w else nan
-        m_k = margin_array(spec_k, lam, mu, nu, ts) if spec_k else nan
+        margins = []
+        for kind in (SetKind.RICCI_LOG_STATIC, SetKind.TRACE_POSITIVE_RICCI_LOG,
+                     SetKind.SECTIONAL_LOG):
+            try:
+                spec = SetSpec(kind, params)
+            except DomainError:  # the region is undefined for these params
+                margins.append(np.full(len(ts), np.nan))
+            else:
+                margins.append(margin_array(spec, lam, mu, nu, ts))
         table = np.column_stack(
-            [ts, lam, mu, nu, 2.0 * trace, mu + nu, m_x, m_w, m_k]
+            [ts, lam, mu, nu, 2.0 * trace, mu + nu, *margins]
         ).tolist()
         fmt = ",".join(["%.17g"] * len(CSV_HEADER.split(",")))
         rows = [fmt % tuple(row) for row in table]

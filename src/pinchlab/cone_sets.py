@@ -19,7 +19,9 @@ out what each region is:
        mu+nu drops below -1/(1-4 rho t).  Requires rho < 0.
 
 The rho < 0 window of X and W, the windows in which K and Y are claimed
-invariant and both time factors are stated once, on ``FlowParams``.
+invariant and both time factors are stated once, on ``FlowParams``.  W's
+log bound is ``pinch_functions.ricci_log_bound`` and that of K and Y is
+``pinch_functions.nu_log_bound``; the curvature estimates double them.
 
 Conditional bounds are encoded as "trigger => bound": an inactive
 trigger contributes margin +inf, and a state exactly at the trigger
@@ -52,7 +54,7 @@ import numpy as np
 
 from .eigen_ode import EigenTriple, FlowParams
 from .errors import DomainError, SamplingExhausted
-from .pinch_functions import f_inverse, f_range_min
+from .pinch_functions import f_inverse, f_range_min, nu_log_bound, ricci_log_bound
 
 __all__ = [
     "SetKind",
@@ -149,26 +151,17 @@ def constraint_margins(spec: SetSpec, lam, mu, nu, t=0.0):
 
     if spec.kind is SetKind.TRACE_POSITIVE_RICCI_LOG:
         tw = spec.time_factor(t)
-        c = 2.0 * (1.0 - 2.0 * p.rho)
         trig = ric <= -1.0 / tw
-        safe = np.where(trig, -ric, 1.0)
-        bound = np.where(
-            trig, -ric * (np.log(safe) + np.log(tw) - c) / c, -np.inf
-        )
+        # an untriggered entry takes a = 1, a finite bound that m2 discards
+        bound = ricci_log_bound(np.where(trig, -ric, 1.0), tw, p.rho)
         m2 = np.where(trig, trace - bound, np.inf)
         return [("trace_sign", trace + 0.0), ("ricci_log", m2)]
 
     # K and Y share the sectional-log constraints
     tf = spec.time_factor(t)
-    theta = p.theta
     m1 = trace + 3.0 / tf
     trig = nu <= -1.0 / tf
-    safe = np.where(trig, -nu, 1.0)
-    bound = np.where(
-        trig,
-        -theta * nu * (np.log(safe) + np.log(tf) - 3.0 / theta),
-        -np.inf,
-    )
+    bound = nu_log_bound(np.where(trig, -nu, 1.0), tf, p.theta)
     m2 = np.where(trig, trace - bound, np.inf)
     out = [("trace_floor", m1), ("nu_log", m2)]
     if spec.kind is SetKind.SECTIONAL_LOG_NONNEG_RICCI:
@@ -290,11 +283,9 @@ def sample_set(
             f"after {_MAX_DRAWS} draws (sample {todo[0]}, t={t})"
         )
 
-    if math.isinf(band):
-        return [EigenTriple(*row) for row in base]
-
     # land each point's margin in [0, band] along the inward diagonal;
-    # every margin decreases strictly in s for state - s*(1,1,1)
+    # every margin decreases strictly in s for state - s*(1,1,1).  With
+    # band = +inf every draw lands at shift 0 and keeps its bits.
     def margins(shift: np.ndarray) -> np.ndarray:
         l = base[:, 0] - shift
         return margin_array(spec, l, base[:, 1] - shift, base[:, 2] - shift, t)

@@ -18,8 +18,11 @@ Natural logarithms throughout.  The central objects:
 * ``xi_pinch_array`` - the time-dependent pinching quantity
   (lam+mu+nu)/(-nu) - theta log(-nu) - theta log(1 + 2(1+eta rho) t),
   defined where nu < 0, and ``xi_pinch_rate_array``, its closed-form rate.
+* ``ricci_log_bound`` and ``nu_log_bound`` - the logarithmic trace bounds
+  of region W and of regions K and Y, each written only here.
 * ``estimate_rhs_array`` - right-hand sides of the three lower bounds for the
-  scalar curvature in terms of its most negative eigenvalue direction.
+  scalar curvature in terms of its most negative eigenvalue direction,
+  each twice a region's log bound since R = 2 trace.
 
 The ``*_array`` kernels take aligned coordinate arrays or plain floats,
 one kernel per formula; a domain check names the first entry that
@@ -27,8 +30,9 @@ fails it, and NaN fails every check.  ``lambda_pinch``,
 ``lambda_pinch_rate``, ``xi_pinch`` and ``xi_pinch_rate`` evaluate
 their kernels at one :class:`~pinchlab.eigen_ode.EigenTriple`.  The
 pinching kernels take logarithms through ``math.log``, one element at
-a time, so a batch keeps the bits of its one-triple evaluations.  Each
-variant's parameter window and both time factors are stated once, on
+a time, so a batch keeps the bits of its one-triple evaluations; the
+two log bounds use ``np.log``.  Each variant's parameter window and
+both time factors are stated once, on
 :class:`~pinchlab.eigen_ode.FlowParams`.
 """
 
@@ -59,6 +63,8 @@ __all__ = [
     "xi_pinch_array",
     "xi_pinch_rate_array",
     "estimate_rhs_array",
+    "ricci_log_bound",
+    "nu_log_bound",
     "validate_variant_params",
     "j_poly_array",
     "i_poly_array",
@@ -73,10 +79,10 @@ class EstimateVariant(enum.Enum):
                         eigenvalue mu+nu, time factor 1 - 4 rho t.
     NEG_RHO_SECTIONAL   eta > 0, -1/eta < rho < 0; bound in terms of the
                         smallest eigenvalue nu, time factor
-                        1 + 2(1+eta rho) t.  The +6 rho constant is the
-                        -3/theta of the cone bound at theta = -1/(2 rho).
+                        1 + 2(1+eta rho) t, theta = -1/(2 rho) built in.
     NONNEG_RHO          0 <= rho < 1/4; bound in terms of nu with
-                        eta = -4 built in, time factor 1 + 2(1-4 rho) t.
+                        eta = -4 and theta = 1 built in, time factor
+                        1 + 2(1-4 rho) t.
     """
 
     NEG_RHO_SCALAR = "neg-rho-scalar"
@@ -334,13 +340,29 @@ def validate_variant_params(variant: EstimateVariant, params: FlowParams) -> Non
         raise DomainError(f"{variant.value} needs {reason}")
 
 
+def ricci_log_bound(a, tf, rho: float):
+    """a (log a + log tf - c)/c with c = 2(1-2 rho): region W's lower
+    bound on the trace, at a = -(mu+nu) and the Ricci time factor tf."""
+    c = 2.0 * (1.0 - 2.0 * rho)
+    return a * (np.log(a) + np.log(tf) - c) / c
+
+
+def nu_log_bound(a, tf, theta: float):
+    """theta a (log a + log tf - 3/theta): the lower bound on the trace
+    of regions K and Y, at a = -nu and the sectional time factor tf."""
+    return theta * a * (np.log(a) + np.log(tf) - 3.0 / theta)
+
+
 def estimate_rhs_array(variant: EstimateVariant, smallest, params: FlowParams, t):
     """Right-hand side of the scalar-curvature lower bound ``variant``.
 
     ``smallest`` holds the relevant most-negative curvature scalar per
     point (mu+nu for NEG_RHO_SCALAR, nu for the other two) and must be
     negative everywhere, since the bound is only asserted there; ``t``
-    broadcasts against it.  Both may be plain floats.
+    broadcasts against it.  Both may be plain floats.  Each bound is
+    R = 2 trace >= twice a region's trace bound: W's for NEG_RHO_SCALAR,
+    K/Y's at theta = -1/(2 rho) for NEG_RHO_SECTIONAL and at eta = -4,
+    theta = 1 for NONNEG_RHO.
     """
     validate_variant_params(variant, params)
     smallest = np.asarray(smallest, dtype=float)
@@ -350,16 +372,11 @@ def estimate_rhs_array(variant: EstimateVariant, smallest, params: FlowParams, t
         raise DomainError("estimate_rhs_array needs negative scalars everywhere")
     if not np.all(t >= 0):
         raise DomainError("estimate_rhs_array needs t >= 0 everywhere")
-    rho = params.rho
     a = -smallest
     if variant is EstimateVariant.NEG_RHO_SCALAR:
-        tf = params.ricci_time_factor(t)
-        return a * (np.log(a) + np.log(tf) - 2.0 * (1.0 - 2.0 * rho)) / (
-            1.0 - 2.0 * rho
-        )
+        return 2.0 * ricci_log_bound(a, params.ricci_time_factor(t), params.rho)
     if variant is EstimateVariant.NEG_RHO_SECTIONAL:
         tf = params.sectional_time_factor(t)
-        return -a * (np.log(a) + np.log(tf) + 6.0 * rho) / rho
+        return 2.0 * nu_log_bound(a, tf, params.sectional_theta)
     tf = replace(params, eta=-4.0).sectional_time_factor(t)  # eta = -4 built in
-    return 2.0 * a * (np.log(a) + np.log(tf) - 3.0)
-
+    return 2.0 * nu_log_bound(a, tf, 1.0)

@@ -240,15 +240,6 @@ def _margin_for(kind: InequalityKind, lam, mu, nu, params: FlowParams):
     return (dl + dm + dn) - (4.0 / 3.0) * (1.0 - 3.0 * rho) * trace * trace
 
 
-def _lexicographic_argmin(margins: np.ndarray, lam, mu, nu) -> int:
-    lowest = margins.min()
-    cands = np.nonzero(margins == lowest)[0]
-    if len(cands) == 1:
-        return int(cands[0])
-    order = np.lexsort((nu[cands], mu[cands], lam[cands]))
-    return int(cands[order[0]])
-
-
 def _require_integer(name: str, value) -> None:
     """Raise TypeError naming ``name`` unless ``value`` is an integer
     (bools excluded); range() and linspace would refuse a float later,
@@ -294,6 +285,8 @@ def scan_inequality(
     its minimum, and of the points tied at the overall minimum the
     lexicographically smallest (lam, mu, nu) is reported.  The verdict
     does not depend on the block size; memory is a few blocks' worth.
+    A NaN margin is a violation and ranks below every number, so it is
+    never dropped: the report then gives min_margin = nan.
 
     Raises EmptyRegion when no grid point lands in the region.
     """
@@ -316,30 +309,33 @@ def scan_inequality(
     lowest, ties = math.inf, []
     for lam, mu, nu, near_block in blocks:
         margins = _margin_for(kind, lam, mu, nu, params)
-        below = margins < -tol
+        below = ~(margins >= -tol)  # a NaN margin is a violation
         if random_mode and below.any():
             # the per-point cutoff tol * max(1, sup-norm)^3 is never below
             # tol, so only points already below -tol can fall below it; the
             # largest magnitude of an ordered triple sits at one of its ends
             at = np.flatnonzero(below)
             scale = np.maximum(1.0, np.maximum(np.abs(lam[at]), np.abs(nu[at])))
-            below = margins[at] < -(tol * scale**3)
+            below = ~(margins[at] >= -(tol * scale**3))
         points += len(margins)
         violations += int(below.sum())
         near += near_block
+        # keep every point tied at the minimum so far; min() is NaN if any
+        # margin is, and a NaN ranks below every number
         low = margins.min()
-        if low < lowest:
+        if low < lowest or (math.isnan(low) and not math.isnan(lowest)):
             lowest, ties = low, []
-        if low == lowest:  # keep every point tied at the minimum so far
-            at = np.flatnonzero(margins == low)
+        if low == lowest or math.isnan(low):
+            at = np.flatnonzero(np.isnan(margins) if math.isnan(low) else margins == low)
             ties.append([v[at] for v in (margins, lam, mu, nu)])
     if points == 0:
         raise EmptyRegion(
             f"no grid point of the resolution-{resolution} slice lies in "
             f"the {kind.value} region"
         )
+    # every tied point holds the minimum: report the smallest (lam, mu, nu)
     tied, *cols = (np.concatenate(v) for v in zip(*ties))
-    amin = _lexicographic_argmin(tied, *cols)
+    amin = np.lexsort(cols[::-1])[0]
     return ScanReport(
         kind=kind,
         params=params,
@@ -407,19 +403,18 @@ def _checkpoint_times(traj: Trajectory, uniform: int = 129):
 
 def _run_lanes(
     states: Sequence[EigenTriple], params: FlowParams, t_end: float,
-    config: IntegratorConfig | None, check: Callable[[int, Trajectory], object],
+    config: IntegratorConfig | None, check: Callable[[Trajectory], object],
 ) -> tuple[list, dict]:
     """The ensemble loop of every suite: integrate each start over
-    [0, t_end] in start order and hand the trajectory and its spawn index
-    to ``check``.  Returns the checks' results in start order and the
-    integrator work summed over the lanes, terminal kinds in order of
-    first appearance."""
+    [0, t_end] in start order and hand each trajectory to ``check``.
+    Returns the checks' results in start order and the integrator work
+    summed over the lanes, terminal kinds in order of first appearance."""
     results = []
     work = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
     kinds: dict[str, int] = {}
-    for i, state in enumerate(states):
+    for state in states:
         traj = integrate(state, params, 0.0, t_end, config)
-        results.append(check(i, traj))
+        results.append(check(traj))
         work["steps_accepted"] += traj.stats["accepted"]
         work["steps_rejected"] += traj.stats["rejected"]
         work["rhs_evals"] += traj.stats["rhs_evals"]
@@ -482,7 +477,7 @@ def check_invariance(
     band = 100.0 * tol
     states = sample_set(spec, 0.0, samples, seed, band=band)
     lanes, work_done = _run_lanes(
-        states, spec.params, horizon, config, lambda i, traj: _drift(traj, eff_recheck)
+        states, spec.params, horizon, config, lambda traj: _drift(traj, eff_recheck)
     )
     worst, violating = _worst_lane([drift for drift, _ in lanes], tol)
     return InvarianceReport(
@@ -509,11 +504,9 @@ def check_invariance(
 @dataclass(frozen=True)
 class EstimateReport:
     variant: EstimateVariant
-    trajectory_id: str
     worst_slack: float  # +inf when the trigger never fires
     trigger_times: tuple[tuple[float, float], ...]
     checkpoints: int
-    tol: float
 
 
 @dataclass(frozen=True)
@@ -554,8 +547,6 @@ def check_estimate(
     traj: Trajectory,
     variant: EstimateVariant,
     params: FlowParams,
-    tol: float = 1e-8,
-    trajectory_id: str = "custom",
 ) -> EstimateReport:
     """Assert the variant's curvature bound along one trajectory.
 
@@ -586,13 +577,11 @@ def check_estimate(
     firsts, lasts = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
     return EstimateReport(
         variant=variant,
-        trajectory_id=trajectory_id,
         worst_slack=float(slack.min(initial=math.inf)),
         trigger_times=tuple(
             (float(ts[a]), float(ts[b])) for a, b in zip(firsts, lasts)
         ),
         checkpoints=len(ts),
-        tol=tol,
     )
 
 
@@ -660,8 +649,8 @@ def estimate_suite(
     validate_tol(tol)
     states = _estimate_initial_states(variant, count, seed)
 
-    def lane(i: int, traj: Trajectory) -> tuple[EstimateReport, float]:
-        rep = check_estimate(traj, variant, params, tol, trajectory_id=str(i))
+    def lane(traj: Trajectory) -> tuple[EstimateReport, float]:
+        rep = check_estimate(traj, variant, params)
         if traj.terminal.kind != BLOWUP:
             return rep, math.inf
         trace_last = float(traj.states_array[-1].sum())
@@ -844,7 +833,7 @@ def deriv_suite(
     states = _deriv_initial_states(quantity, trajectories, seed)
     lanes, work_done = _run_lanes(
         states, params, t_end, config,
-        lambda i, traj: _deriv_reports(traj, quantity, params, (h, h / 2), _DERIV_POINTS),
+        lambda traj: _deriv_reports(traj, quantity, params, (h, h / 2), _DERIV_POINTS),
     )
     at_h = [rep.max_discrepancy for rep, _ in lanes]
     worst_h = max(at_h)

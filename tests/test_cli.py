@@ -98,6 +98,14 @@ def test_simulate_nan_cone_columns_for_inadmissible_sets(tmp_path):
     cols = data.split(",")
     assert cols[6] == "nan" and cols[7] == "nan"  # margin_X, margin_W
     assert cols[8] != "nan"  # margin_K live at these params
+    # at rho = -1, eta = 1 K is undefined (1 + eta*rho = 0): every margin_K
+    # cell is NaN while margin_X and margin_W stay live
+    out = tmp_path / "xw.csv"
+    run(["simulate", "--state", "1,1,1", "--rho", "-1", "--eta", "1", "--t-end", "0.01",
+         "--out", out])
+    rows = [ln.split(",") for ln in out.read_text().splitlines() if not ln.startswith("#")][1:]
+    assert rows and all(r[8] == "nan" for r in rows)
+    assert all(r[6] != "nan" and r[7] != "nan" for r in rows)
 
 
 # --------------------------------------------------------------------- scan

@@ -206,6 +206,55 @@ def test_constraint_labels():
     assert labels == ["trace_floor", "ricci_log"]
 
 
+def _log_margin_as_first_written(spec, lam, mu, nu, t):
+    """W's ricci_log or K/Y's nu_log margin, spelled out the way each
+    region wrote its log bound before the bounds became shared kernels."""
+    p = spec.params
+    trace = lam + mu + nu
+    if spec.kind is SetKind.TRACE_POSITIVE_RICCI_LOG:
+        ric = mu + nu
+        tw = spec.time_factor(t)
+        c = 2.0 * (1.0 - 2.0 * p.rho)
+        trig = ric <= -1.0 / tw
+        safe = np.where(trig, -ric, 1.0)
+        bound = np.where(trig, -ric * (np.log(safe) + np.log(tw) - c) / c, -np.inf)
+    else:
+        tf = spec.time_factor(t)
+        trig = nu <= -1.0 / tf
+        safe = np.where(trig, -nu, 1.0)
+        bound = np.where(
+            trig, -p.theta * nu * (np.log(safe) + np.log(tf) - 3.0 / p.theta), -np.inf
+        )
+    return np.where(trig, trace - bound, np.inf)
+
+
+LOG_SPECS = [
+    *(SetSpec(SetKind.TRACE_POSITIVE_RICCI_LOG, FlowParams(rho=r)) for r in (-0.1, -1.0, -10.0)),
+    SPEC_K,
+    SetSpec(SetKind.SECTIONAL_LOG, FlowParams(rho=-3.0, eta=0.2, theta=2.5)),
+    SPEC_Y,
+    SetSpec(SetKind.SECTIONAL_LOG_NONNEG_RICCI,
+            FlowParams(rho=-0.7, eta=1.0, theta=-1.0 / (2.0 * -0.7))),
+]
+
+
+@pytest.mark.parametrize(
+    "spec", LOG_SPECS, ids=lambda s: f"{s.kind.value}-rho{s.params.rho}-theta{s.params.theta:.3g}"
+)
+def test_log_margins_keep_the_bits_of_their_first_expressions(spec):
+    # states of sup-norm 1e-3 to 1e6 at times in [0, 2]
+    n = 20_000
+    rng = np.random.default_rng(19)
+    unit = np.sort(rng.uniform(-1.0, 1.0, size=(n, 3)), axis=1)[:, ::-1]
+    lam, mu, nu = (unit * 10.0 ** rng.uniform(-3.0, 6.0, size=(n, 1))).T
+    t = rng.uniform(0.0, 2.0, size=n)
+    label = "ricci_log" if spec.kind is SetKind.TRACE_POSITIVE_RICCI_LOG else "nu_log"
+    got = dict(constraint_margins(spec, lam, mu, nu, t))[label]
+    want = _log_margin_as_first_written(spec, lam, mu, nu, t)
+    assert np.isfinite(want).sum() > n // 4  # the bound is on at many states
+    assert got.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------------ sampling
 
 

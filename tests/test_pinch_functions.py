@@ -12,6 +12,9 @@ from pinchlab import (
     EigenTriple,
     EstimateVariant,
     FlowParams,
+    SetKind,
+    SetSpec,
+    constraint_margins,
     estimate_rhs_array,
     f_domain_min,
     f_inverse,
@@ -420,6 +423,39 @@ def test_estimate_rhs_superlinear_for_deep_negatives():
     assert np.all(out > 0)
     assert np.all(np.diff(out) > 0)
     assert out[-1] / a[-1] > out[0] / a[0]  # superlinear growth
+
+
+# each estimate paired with the region whose log bound it doubles
+ESTIMATE_REGIONS = [
+    *((EstimateVariant.NEG_RHO_SCALAR, SetKind.TRACE_POSITIVE_RICCI_LOG, FlowParams(rho=r))
+      for r in (-0.1, -1.0, -10.0)),
+    *((EstimateVariant.NONNEG_RHO, SetKind.SECTIONAL_LOG, FlowParams(rho=r, eta=-4.0))
+      for r in (0.0, 0.1, 0.2)),
+    *((EstimateVariant.NEG_RHO_SECTIONAL, SetKind.SECTIONAL_LOG_NONNEG_RICCI,
+       FlowParams(rho=r, eta=1.0, theta=-1.0 / (2.0 * r)))
+      for r in (-0.3, -0.5, -0.7)),
+]
+
+
+@pytest.mark.parametrize(
+    "variant,kind,params", ESTIMATE_REGIONS,
+    ids=[f"{v.value}-rho{p.rho}" for v, _, p in ESTIMATE_REGIONS],
+)
+def test_each_estimate_is_twice_its_regions_log_bound(variant, kind, params):
+    # R = 2 trace, so R - estimate is twice the region's log margin
+    spec = SetSpec(kind, params)
+    n = 20_000
+    rng = np.random.default_rng(7)
+    lam, mu, nu = np.sort(rng.uniform(-5.0, 5.0, size=(n, 3)), axis=1)[:, ::-1].T
+    t = rng.uniform(0.0, 2.0, size=n)
+    ricci = kind is SetKind.TRACE_POSITIVE_RICCI_LOG
+    smallest = mu + nu if ricci else nu
+    trig = smallest <= -1.0 / spec.time_factor(t)
+    assert trig.sum() > n // 4
+    margin = dict(constraint_margins(spec, lam, mu, nu, t))["ricci_log" if ricci else "nu_log"]
+    trace = lam + mu + nu
+    rhs = estimate_rhs_array(variant, smallest[trig], params, t[trig])
+    assert (2.0 * trace[trig] - rhs).tobytes() == (2.0 * margin[trig]).tobytes()
 
 
 @pytest.mark.parametrize(

@@ -226,6 +226,36 @@ def test_trace_bound_random_mode():
     assert again == rep
 
 
+@pytest.mark.parametrize("every_block", [False, True], ids=["one-block", "every-block"])
+@pytest.mark.parametrize("kind,params,kwargs", [
+    (InequalityKind.TRACE_BOUND, FlowParams(rho=0.0), {"samples": 1000, "seed": 3}),
+    (InequalityKind.I_POLY, FlowParams(rho=0.1), {"resolution": 41}),
+], ids=["random", "grid"])
+def test_nan_margins_are_violations_and_the_minimum(kind, params, kwargs, every_block,
+                                                     monkeypatch):
+    # both modes scan two blocks here: random draws and the injected
+    # states, or the two faces of the grid slice
+    clean = scan_inequality(kind, params, **kwargs)
+    real = verifier._margin_for
+    planted = []
+
+    def plant(kind, lam, mu, nu, params):
+        margins = real(kind, lam, mu, nu, params).copy()
+        if every_block or not planted:
+            for i in (3, 1):
+                margins[i] = np.nan
+                planted.append((float(lam[i]), float(mu[i]), float(nu[i])))
+        return margins
+
+    monkeypatch.setattr(verifier, "_margin_for", plant)
+    rep = scan_inequality(kind, params, **kwargs)
+    assert len(planted) == (4 if every_block else 2)
+    assert rep.violations == clean.violations + len(planted)
+    assert rep.points_checked == clean.points_checked
+    assert math.isnan(rep.min_margin)
+    assert rep.argmin_state.as_tuple() == min(planted)
+
+
 def _j_nonneg_margin_exact(lam, mu, nu, rho):
     """J - rho/(1-2 rho) (mu+nu)^3 at the float inputs, exactly, and the
     largest magnitude among the terms its float evaluation adds up."""
@@ -278,8 +308,7 @@ def test_random_mode_counts_only_margins_below_the_scaled_cutoff(tol, monkeypatc
         index = np.arange(len(cutoff))
         margins = choices[index % len(choices), index]
         if not planted:
-            # one NaN, in the first block only: a block holding a NaN
-            # drops out of the minimum, and a scan with no block left fails
+            # one NaN, in the first block only: a NaN margin is a violation
             margins[4] = np.nan
         planted.append((margins, cutoff))
         return margins
@@ -288,10 +317,10 @@ def test_random_mode_counts_only_margins_below_the_scaled_cutoff(tol, monkeypatc
     rep = scan_inequality(
         InequalityKind.TRACE_BOUND, FlowParams(rho=0.0), tol=tol, samples=1000, seed=3
     )
-    # reference: the cutoff applied at every point
-    reference = sum(int((margins < -cutoff).sum()) for margins, cutoff in planted)
+    # reference: the cutoff applied at every point, a NaN falling below it
+    reference = sum(int((~(margins >= -cutoff)).sum()) for margins, cutoff in planted)
     just_below = sum(len(margins[::5]) for margins, _ in planted)
-    assert rep.violations == reference == just_below
+    assert rep.violations == reference == just_below + 1
     between = np.concatenate([m[2::5] for m, _ in planted])
     cutoffs = np.concatenate([c[2::5] for _, c in planted])
     assert tol == 0.0 or ((-cutoffs < between) & (between < -tol)).sum() > 100
