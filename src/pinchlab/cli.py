@@ -281,9 +281,10 @@ def render_svg(
     for i, (name, ys) in enumerate(series.items()):
         color = _PALETTE[i % len(_PALETTE)]
         segment: list[str] = []
-        finite = (np.isfinite(xs) & np.isfinite(ys)).tolist()
-        pts = np.column_stack([sx(xs), sy(ys)]).tolist()
-        for ok, pt in zip(finite, pts):
+        # a non-finite point ends a polyline; the sentinel ends the last one
+        x, y = np.append(xs, np.nan), np.append(ys, np.nan)
+        finite = (np.isfinite(x) & np.isfinite(y)).tolist()
+        for ok, pt in zip(finite, np.column_stack([sx(x), sy(y)]).tolist()):
             if ok:
                 segment.append("%.6g,%.6g" % tuple(pt))
             elif segment:
@@ -292,11 +293,6 @@ def render_svg(
                     f'stroke="{color}" stroke-width="1.5"/>'
                 )
                 segment = []
-        if segment:
-            parts.append(
-                f'<polyline points="{" ".join(segment)}" fill="none" '
-                f'stroke="{color}" stroke-width="1.5"/>'
-            )
         ly = tpad + 16 * i
         parts.append(
             f'<line x1="{width - rpad - 120}" y1="{ly}" '
@@ -408,9 +404,7 @@ def _cmd_verify_estimate(opts: dict) -> int:
     report = estimate_suite(params=params, config=cfg, **opts["command"])
     meta = _base_meta(opts, "verify-estimate", params, cfg)
     meta["prng"] = _PRNG
-    worst = report.violating_seed
-    worst_times = None if worst is None else report.reports[worst].trigger_times
-    _write(opts, meta, {**_jsonify(report), "trigger_times_worst": worst_times})
+    _write(opts, meta, report)
     # a lane that stopped at the step limit was not checked up to its horizon
     return 1 if report.worst_slack < -report.tol or STEP_LIMIT in report.terminal_kinds else 0
 

@@ -211,17 +211,10 @@ def membership(spec: SetSpec, state: EigenTriple, t: float = 0.0) -> MembershipR
     (negative when violated); active_constraint names the binding one,
     first in declaration order on ties.
     """
-    pairs = constraint_margins(
-        spec, np.asarray([state.lam]), np.asarray([state.mu]),
-        np.asarray([state.nu]), t,
-    )
-    best_label, best = pairs[0][0], float(pairs[0][1][0])
-    for label, arr in pairs[1:]:
-        v = float(arr[0])
-        if v < best:
-            best_label, best = label, v
-    return MembershipResult(member=best >= 0.0, margin=best,
-                            active_constraint=best_label)
+    pairs = constraint_margins(spec, [state.lam], [state.mu], [state.nu], t)
+    label, margins = min(pairs, key=lambda pair: pair[1][0])
+    best = float(margins[0])
+    return MembershipResult(member=best >= 0.0, margin=best, active_constraint=label)
 
 
 def default_box_halfwidth(spec: SetSpec, t: float) -> float:

@@ -70,9 +70,11 @@ Terminal rules:
 
 The integrator knows nothing about cones or pinching functions.  Event
 functions (``cone_sets.standard_trigger_events`` gives the regions'
-triggers) are generic ``g(t, lam, mu, nu)`` callables whose sign changes
-across an accepted step are refined by bisection in sigma on the dense
-interpolant to 1e-10 in t.
+triggers) are generic ``g(t, lam, mu, nu)`` callables, read after the
+steps are taken: each is evaluated once per node, and its sign changes
+across a step are refined by bisection in sigma on the step's stored
+coefficients to 1e-10 in t.  A step from a nonzero value to exactly 0
+crosses in either direction; one that starts at 0 does not.
 """
 
 from __future__ import annotations
@@ -348,12 +350,6 @@ def _dense_weights(starts: np.ndarray, hs: np.ndarray, stages: np.ndarray) -> np
     return out
 
 
-def _step_weights(start, h, step) -> np.ndarray:
-    """``_dense_weights`` of one step: its start (u, l, A), its size in s
-    and its 30 stage values, k1, k3..k7 in turn."""
-    return _dense_weights(np.array([start]), np.array([h]), np.array(step).reshape(1, 6, 5))
-
-
 def _projected(l, m, n, rho):
     """The projected field k = F(u) - g u at u = (l, m, n) and the l-rate
     g = <u, F(u)>/|u|^2, with F = eigen_ode.rhs_array: (kl, km, kn, g).
@@ -444,8 +440,6 @@ def integrate(
     starts: list[float] = []  # u, l and the clock amplitude of every accepted step
     hs: list[float] = []
     stages: list[float] = []  # k1, k3..k7 of every accepted step, 5 each
-    recs: list[EventRecord] = []
-    ev_last = [g(t, *y0) for _, g in events]
 
     rho = params.rho
     k1l, k1m, k1n, g1 = _projected(ul, um, un, rho)
@@ -566,7 +560,8 @@ def integrate(
             # retry at the sigma where this step's clock reaches t_end, or
             # 0.9 of the max_step cap
             landing = t_end - t <= max_step
-            c = _step_weights((ul, um, un, ell, amp), h, step).transpose(2, 1, 0)
+            c = _dense_weights(np.array([(ul, um, un, ell, amp)]), np.array([h]),
+                               np.array(step).reshape(1, 6, 5)).transpose(2, 1, 0)
             target = t_end if landing else t + _SAFETY * max_step
             h *= float(_sigma_at(c, 0.0, t1 - t, target - t)[0])
             nreject += 1
@@ -582,22 +577,6 @@ def integrate(
         times.append(t1)
         states.extend((y1l, y1m, y1n))
         naccept += 1
-
-        # event crossings inside the accepted step
-        if events:
-            q = None
-            for i, (name, g) in enumerate(events):
-                g0, gv = ev_last[i], g(t1, y1l, y1m, y1n)
-                if (
-                    isfinite(g0) and isfinite(gv)
-                    and g0 != 0.0 and (g0 < 0.0) != (gv < 0.0)
-                ):
-                    if q is None:
-                        q = _step_weights(starts[-5:], hs[-1], stages[-30:])[0].tolist()
-                    recs.append(EventRecord(
-                        name, _locate_event(g, g0, t, t1, q), +1 if gv > g0 else -1,
-                    ))
-                ev_last[i] = gv
 
         ul, um, un, ell, t = u1l, u1m, u1n, ell1, t1
         scale, clock = scale1, exp(-ell1)
@@ -626,6 +605,19 @@ def integrate(
     dense_a = _dense_weights(np.array(starts).reshape(-1, 5), np.array(hs), stages_a)
     for a in (times_a, states_a, dense_a):
         a.setflags(write=False)
+    recs: list[EventRecord] = []
+    if events:
+        # each event function once per node, then each crossing bisected on
+        # its step's stored coefficients; a step from a nonzero value to 0
+        # crosses, one that starts at 0 does not, so a touch counts once
+        values = [[g(t, *y) for _, g in events] for t, y in zip(times, states_a.tolist())]
+        for k, (ev0, ev1) in enumerate(zip(values, values[1:])):
+            q = None
+            for (name, g), g0, gv in zip(events, ev0, ev1):
+                if isfinite(g0) and isfinite(gv) and (g0 > 0.0 >= gv or g0 < 0.0 <= gv):
+                    q = q or dense_a[k].tolist()
+                    t_cross = _locate_event(g, g0, times[k], times[k + 1], q)
+                    recs.append(EventRecord(name, t_cross, +1 if gv > g0 else -1))
     return Trajectory(
         times=times_a,
         states_array=states_a,

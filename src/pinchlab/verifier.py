@@ -40,7 +40,7 @@ from __future__ import annotations
 
 import enum
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
@@ -359,7 +359,17 @@ def scan_inequality(
 
 
 @dataclass(frozen=True)
-class InvarianceReport:
+class _Work:
+    """The integrator work behind a suite's verdict, summed over its lanes."""
+
+    steps_accepted: int
+    steps_rejected: int
+    rhs_evals: int
+    terminal_kinds: dict[str, int]  # terminal kind -> lanes, in order of first appearance
+
+
+@dataclass(frozen=True)
+class InvarianceReport(_Work):
     spec: SetSpec
     samples: int
     horizon: float
@@ -370,10 +380,6 @@ class InvarianceReport:
     violating_seed: int | None  # spawn index of the worst sample, if failing
     blowups: int
     checkpoints: int
-    steps_accepted: int  # integrator work summed over the samples
-    steps_rejected: int
-    rhs_evals: int
-    terminal_kinds: dict[str, int]  # terminal kind -> samples, in sample order
     claimed: bool  # False = observation run, never a pass/fail verdict
     recheck_kind: SetKind | None = None
 
@@ -404,23 +410,23 @@ def _checkpoint_times(traj: Trajectory, uniform: int = 129):
 def _run_lanes(
     states: Sequence[EigenTriple], params: FlowParams, t_end: float,
     config: IntegratorConfig | None, check: Callable[[Trajectory], object],
-) -> tuple[list, dict]:
+) -> tuple[list, _Work]:
     """The ensemble loop of every suite: integrate each start over
     [0, t_end] in start order and hand each trajectory to ``check``.
     Returns the checks' results in start order and the integrator work
-    summed over the lanes, terminal kinds in order of first appearance."""
+    summed over the lanes."""
     results = []
-    work = {"steps_accepted": 0, "steps_rejected": 0, "rhs_evals": 0}
+    accepted = rejected = evals = 0
     kinds: dict[str, int] = {}
     for state in states:
         traj = integrate(state, params, 0.0, t_end, config)
         results.append(check(traj))
-        work["steps_accepted"] += traj.stats["accepted"]
-        work["steps_rejected"] += traj.stats["rejected"]
-        work["rhs_evals"] += traj.stats["rhs_evals"]
+        accepted += traj.stats["accepted"]
+        rejected += traj.stats["rejected"]
+        evals += traj.stats["rhs_evals"]
         kinds[traj.terminal.kind] = kinds.get(traj.terminal.kind, 0) + 1
         del traj  # free each lane before the next one integrates
-    return results, {**work, "terminal_kinds": kinds}
+    return results, _Work(accepted, rejected, evals, kinds)
 
 
 def _worst_lane(scores: Sequence[float], tol: float) -> tuple[float, int | None]:
@@ -489,9 +495,9 @@ def check_invariance(
         tol=tol,
         worst_drift=worst,
         violating_seed=violating,
-        blowups=work_done["terminal_kinds"].get(BLOWUP, 0),
+        blowups=work_done.terminal_kinds.get(BLOWUP, 0),
         checkpoints=sum(points for _, points in lanes),
-        **work_done,
+        **asdict(work_done),
         claimed=invariance_is_claimed(spec) and recheck is None,
         recheck_kind=eff_recheck.kind if recheck is not None else None,
     )
@@ -510,7 +516,7 @@ class EstimateReport:
 
 
 @dataclass(frozen=True)
-class EstimateSuiteReport:
+class EstimateSuiteReport(_Work):
     variant: EstimateVariant
     params: FlowParams
     count: int
@@ -520,10 +526,7 @@ class EstimateSuiteReport:
     violating_seed: int | None
     blowups: int
     min_coverage: float  # lower bound on covered fraction of blow-up time
-    steps_accepted: int  # integrator work summed over the trajectories
-    steps_rejected: int
-    rhs_evals: int
-    terminal_kinds: dict[str, int]  # terminal kind -> trajectories, in order
+    trigger_times_worst: tuple[tuple[float, float], ...] | None  # of violating_seed
     reports: tuple[EstimateReport, ...] = field(repr=False)
 
 
@@ -661,7 +664,7 @@ def estimate_suite(
     reports = tuple(rep for rep, _ in lanes)
     worst, violating = _worst_lane([rep.worst_slack for rep in reports], tol)
     coverage = min(cover for _, cover in lanes)
-    blowups = work_done["terminal_kinds"].get(BLOWUP, 0)
+    blowups = work_done.terminal_kinds.get(BLOWUP, 0)
     return EstimateSuiteReport(
         variant=variant,
         params=params,
@@ -672,7 +675,8 @@ def estimate_suite(
         violating_seed=violating,
         blowups=blowups,
         min_coverage=coverage if blowups else 0.0,
-        **work_done,
+        trigger_times_worst=None if violating is None else reports[violating].trigger_times,
+        **asdict(work_done),
         reports=reports,
     )
 
@@ -697,7 +701,7 @@ class DerivReport:
 
 
 @dataclass(frozen=True)
-class DerivSuiteReport:
+class DerivSuiteReport(_Work):
     quantity: QuantityKind
     params: FlowParams
     trajectories: int
@@ -708,10 +712,6 @@ class DerivSuiteReport:
     decay_ratio: float  # discrepancy(h) / discrepancy(h/2); ~4 for O(h^2)
     worst_trajectory: int | None  # spawn index of the worst one at h
     checkpoints: int  # central-difference points evaluated, at h and h/2
-    steps_accepted: int  # integrator work summed over the trajectories
-    steps_rejected: int
-    rhs_evals: int
-    terminal_kinds: dict[str, int]  # terminal kind -> trajectories, in order
 
 
 _DERIV_POINTS = 33  # central-difference points per window
@@ -850,5 +850,5 @@ def deriv_suite(
         decay_ratio=ratio,
         worst_trajectory=at_h.index(worst_h) if worst_h > 0 else None,
         checkpoints=sum(rep.checkpoints + rep2.checkpoints for rep, rep2 in lanes),
-        **work_done,
+        **asdict(work_done),
     )

@@ -232,6 +232,60 @@ def test_ricci_trigger_only_for_negative_rho():
     assert {"nu_zero", "ricci_zero"} <= names_pos
 
 
+ZERO_START, ZERO_PARAMS = EigenTriple(0.5, 0.2, -0.3), FlowParams(rho=0.1)
+
+
+@pytest.mark.parametrize("sign", [1, -1])
+def test_event_that_reaches_zero_at_a_node_is_recorded_once(sign):
+    # a step from a nonzero value to exactly 0 crosses, rising or falling,
+    # and the step that starts at 0 records nothing
+    def at(node_time):
+        return [("g", lambda t, l, m, n: sign * (t - node_time))]
+
+    end = integrate(ZERO_START, ZERO_PARAMS, 0.0, 0.05, events=at(0.05))
+    node = float(integrate(ZERO_START, ZERO_PARAMS, 0.0, 0.1).times[3])
+    inner = integrate(ZERO_START, ZERO_PARAMS, 0.0, 0.1, events=at(node))
+    for traj, node_time in ((end, 0.05), (inner, node)):
+        assert node_time in traj.times
+        assert [(e.name, e.direction) for e in traj.events] == [("g", sign)]
+        assert abs(traj.events[0].time - node_time) <= 1e-10
+
+
+TRIGGER_START = EigenTriple(2.522234183692774, 2.4686038564983797, -3.1971245915690485)
+
+
+@pytest.mark.parametrize("start,params,t_end,cfg,kind", [
+    # a blow-up with three trigger crossings, two of them in one step
+    (TRIGGER_START, FlowParams(rho=-0.5), 1.0,
+     IntegratorConfig(rel_tol=1e-6, abs_tol=1e-8), BLOWUP),
+    (TRIGGER_START, FlowParams(rho=-0.5), 1.0, IntegratorConfig(max_steps=40), STEP_LIMIT),
+    # a retry at the sigma where the clock reaches t_end
+    (EigenTriple(2.0, -1.0, -1.5), FlowParams(rho=0.1), 0.2, None, REACHED_END),
+    # five retries at 0.9 of the max_step cap, one at t_end, and a
+    # nu_trigger crossing
+    (EigenTriple(3.0, -0.5, -0.8), FlowParams(rho=0.1), 0.1,
+     IntegratorConfig(rel_tol=1e-3, abs_tol=1e-5, max_step=0.007), REACHED_END),
+])
+def test_events_are_a_pure_reading(start, params, t_end, cfg, kind):
+    plain = integrate(start, params, 0.0, t_end, cfg)
+    read = integrate(start, params, 0.0, t_end, cfg, standard_trigger_events(params))
+    assert plain.terminal.kind == kind
+    assert plain.events == ()
+    for name in ("times", "states_array", "dense"):
+        assert getattr(read, name).tobytes() == getattr(plain, name).tobytes()
+    assert (read.terminal, read.stats) == (plain.terminal, plain.stats)
+
+
+def test_crossings_in_one_step_come_in_event_order():
+    traj = integrate(ZERO_START, ZERO_PARAMS, 0.0, 0.1)
+    lo, hi = traj.times[3], traj.times[4]
+    early, late = lo + 0.25 * (hi - lo), lo + 0.75 * (hi - lo)
+    events = [("late", lambda t, l, m, n: t - late), ("early", lambda t, l, m, n: t - early)]
+    read = integrate(ZERO_START, ZERO_PARAMS, 0.0, 0.1, events=events)
+    assert [e.name for e in read.events] == ["late", "early"]
+    assert lo < read.events[1].time < read.events[0].time < hi
+
+
 def test_fixed_step_error_decays_at_high_order():
     # pin the step with a huge tolerance so max_step controls everything;
     # halving the step must shrink the error by roughly 2^5.  The start is
