@@ -54,7 +54,7 @@ import numpy as np
 
 from .eigen_ode import EigenTriple, FlowParams
 from .errors import DomainError, SamplingExhausted
-from .pinch_functions import f_inverse, f_range_min, nu_log_bound, ricci_log_bound
+from .pinch_functions import _blockwise, f_inverse, f_range_min, nu_log_bound, ricci_log_bound
 
 __all__ = [
     "SetKind",
@@ -133,6 +133,11 @@ def constraint_margins(spec: SetSpec, lam, mu, nu, t=0.0):
     trajectory's checkpoints can carry their own times.
     """
     _check_time(t)
+    return _margins(spec, lam, mu, nu, t)
+
+
+def _margins(spec: SetSpec, lam, mu, nu, t):
+    """``constraint_margins`` at checked times."""
     lam = np.asarray(lam, dtype=float)
     mu = np.asarray(mu, dtype=float)
     nu = np.asarray(nu, dtype=float)
@@ -196,12 +201,22 @@ def standard_trigger_events(params: FlowParams):
 
 
 def margin_array(spec: SetSpec, lam, mu, nu, t: float = 0.0) -> np.ndarray:
-    """Minimum constraint margin per state; >= 0 means member."""
-    pairs = constraint_margins(spec, lam, mu, nu, t)
-    out = pairs[0][1]
-    for _, m in pairs[1:]:
-        out = np.minimum(out, m)
-    return out
+    """Minimum constraint margin per state; >= 0 means member.
+
+    States and t broadcast as in ``constraint_margins``.  A batch larger
+    than one block runs a block at a time with the same bits, after the
+    whole of t is checked.
+    """
+    _check_time(t)
+
+    def smallest(lam, mu, nu, t):
+        pairs = _margins(spec, lam, mu, nu, t)
+        out = pairs[0][1]
+        for _, m in pairs[1:]:
+            out = np.minimum(out, m)
+        return out
+
+    return _blockwise(smallest, lam, mu, nu, t)
 
 
 def membership(spec: SetSpec, state: EigenTriple, t: float = 0.0) -> MembershipResult:

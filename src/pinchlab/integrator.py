@@ -73,7 +73,9 @@ functions (``cone_sets.standard_trigger_events`` gives the regions'
 triggers) are generic ``g(t, lam, mu, nu)`` callables, read after the
 steps are taken: each is evaluated once per node, and its sign changes
 across a step are refined by bisection in sigma on the step's stored
-coefficients to 1e-10 in t.  A step from a nonzero value to exactly 0
+coefficients to 1e-10 in t, or to 1e-6 of the step's length in a step
+shorter than 1e-4, so that two crossings inside one short step stay
+apart and in order.  A step from a nonzero value to exactly 0
 crosses in either direction; one that starts at 0 does not.
 """
 
@@ -361,12 +363,14 @@ def _projected(l, m, n, rho):
 
 def _locate_event(g, g0, t_lo, t_hi, q) -> float:
     """Bisect the sign change of ``g`` across the step [t_lo, t_hi] in
-    sigma on its coefficients ``q`` (5 rows of 5) to 1e-10 in t."""
+    sigma on its coefficients ``q`` (5 rows of 5) to 1e-10 in t, or to
+    1e-6 of the step's length when that is finer."""
     t0 = t_lo
+    tol = min(1e-10, 1e-6 * (t_hi - t_lo))
     (l0, l1, l2, l3, l4), (amp, d1, d2, d3, d4) = q[3], q[4]
     lo, hi = 0.0, 1.0
     glo = g0
-    while t_hi - t_lo > 1e-10:
+    while t_hi - t_lo > tol:
         mid = 0.5 * (lo + hi)
         if not lo < mid < hi:
             break

@@ -7,9 +7,10 @@ Four instruments:
   numerator at t = 0, and the trace comparison) on a deterministic grid
   over the sup-norm unit slice of each claim's cone, or over random
   ordered states for the trace comparison.  Both modes feed one
-  reduction loop over blocks of about 2^16 points (runs of grid rows, or
-  runs of draws), so a scan's memory stays bounded at any resolution or
-  sample count and its temporaries stay in cache.
+  reduction loop over blocks of about 2^16 points, the package's one
+  block size ``pinch_functions._BLOCK`` (runs of grid rows, or runs of
+  draws), so a scan's memory stays bounded at any resolution or sample
+  count and its temporaries stay in cache.
 * ``check_invariance`` — samples states in a thin band along a region's
   boundary, pushes each through the flow, and re-evaluates membership
   at dense checkpoints (with the membership clock advancing along the
@@ -45,6 +46,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from . import pinch_functions
 from .cone_sets import SetKind, SetSpec, margin_array, sample_set
 from .eigen_ode import EigenTriple, FlowParams, rhs_array
 from .errors import DomainError, EmptyRegion, HypothesisViolated
@@ -130,13 +132,6 @@ class ScanReport:
     injected_max_abs_margin: float | None = None
 
 
-# Points per scan block, so that a block's temporaries stay in cache: on
-# a 2-vCPU Intel Xeon, i_poly_array on 1.97 M points took 105 ms in one
-# pass, 31-39 ms in blocks of 16 K to 64 K points and 55 ms in blocks of
-# 262 K (best of 5).
-_BLOCK = 1 << 16
-
-
 def _grid_blocks(kind: InequalityKind, resolution: int):
     """The region's points of the sup-norm unit slice, a block at a time.
 
@@ -153,7 +148,7 @@ def _grid_blocks(kind: InequalityKind, resolution: int):
     of it is gathered, and every column still holds one entry per point.
     """
     xs = np.linspace(-1.0, 1.0, resolution)
-    step = max(1, _BLOCK // resolution)
+    step = max(1, pinch_functions._BLOCK // resolution)
     for face_a, face_rows in ((True, resolution), (False, resolution - 1)):
         for r0 in range(0, face_rows, step):
             r1 = min(r0 + step, face_rows)
@@ -193,9 +188,10 @@ def _random_blocks(samples: int, seed: int):
     then the injected isotropic states as a block of their own.  Blocks
     yield ``lam, mu, nu`` columns and 0 near-boundary points."""
     rng = np.random.Generator(np.random.PCG64(np.random.SeedSequence(seed)))
-    for start in range(0, samples, _BLOCK):
+    block = pinch_functions._BLOCK
+    for start in range(0, samples, block):
         a, b, c = np.ascontiguousarray(
-            rng.uniform(-5.0, 5.0, size=(min(_BLOCK, samples - start), 3)).T
+            rng.uniform(-5.0, 5.0, size=(min(block, samples - start), 3)).T
         )
         # a three-element compare-exchange network orders each row in
         # place, lam >= mu >= nu, with the same values as a row sort

@@ -1,5 +1,6 @@
 import hashlib
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -21,7 +22,7 @@ from pinchlab import (
     margin_array,
     sample_set,
 )
-from pinchlab import cone_sets
+from pinchlab import cone_sets, pinch_functions
 from pinchlab.cone_sets import constraint_margins, default_box_halfwidth
 
 P_NEG = FlowParams(rho=-1.0)
@@ -53,11 +54,17 @@ def test_time_factors():
     np.testing.assert_allclose(SPEC_Y.time_factor(ts), 1.0 + 2.0 * 0.5 * ts)
 
 
-def test_negative_time_names_the_smallest():
-    # a batch of checkpoint times is refused by its worst time, not dumped
+def test_negative_time_names_the_smallest(monkeypatch):
+    # a batch of checkpoint times is refused by its worst time, not dumped,
+    # also when blocks of 7 spread the bad times over 28 blocks and the
+    # worst one lies in the last
     ts = np.linspace(-3.0, 0.1, 201)
-    with pytest.raises(DomainError, match=r"must be >= 0, got -3\.0$"):
-        margin_array(SPEC_K, np.ones(201), np.zeros(201), -np.ones(201), ts)
+    for block in (None, 7):
+        if block:
+            monkeypatch.setattr(pinch_functions, "_BLOCK", block)
+            ts = ts[::-1]
+        with pytest.raises(DomainError, match=r"must be >= 0, got -3\.0$"):
+            margin_array(SPEC_K, np.ones(201), np.zeros(201), -np.ones(201), ts)
 
 
 NAN_TIME_CALLS = {
@@ -73,6 +80,55 @@ NAN_TIME_CALLS = {
 def test_nan_time_is_a_domain_error(case):
     with pytest.raises(DomainError, match=r"must be >= 0, got nan$"):
         NAN_TIME_CALLS[case]()
+
+
+def _margin_cases(n):
+    """(spec, lam, mu, nu, t) for every region on n seeded ordered states
+    of its sampling cube, at scalar times and at a time per state."""
+    rng = np.random.default_rng(21)
+    cases = []
+    for spec in ALL_SPECS:
+        half = default_box_halfwidth(spec, 0.0)
+        pts = np.sort(rng.uniform(-half, half, size=(n, 3)), axis=1)[:, ::-1]
+        cols = [np.ascontiguousarray(pts[:, i]) for i in range(3)]
+        for t in (0.0, 0.3, rng.uniform(0.0, 2.0, n)):
+            cases.append((spec, *cols, t))
+    return cases
+
+
+def test_margin_array_in_blocks_keeps_every_bit(monkeypatch):
+    cases = _margin_cases(300)
+    want = [margin_array(*case) for case in cases]
+    for m in want:
+        assert 0.0 < np.mean(m >= 0.0) < 1.0
+    monkeypatch.setattr(pinch_functions, "_BLOCK", 7)
+    for case, w in zip(cases, want):
+        assert margin_array(*case).tobytes() == w.tobytes()
+    # a bad time in a later block is refused as in one pass
+    with pytest.raises(DomainError, match=r"must be >= 0, got nan$"):
+        margin_array(SPEC_K, np.ones(30), np.zeros(30), -np.ones(30),
+                     np.r_[np.zeros(25), math.nan, -3.0, np.zeros(3)])
+
+
+def test_big_batches_keep_temporaries_bounded():
+    # one pass over 2e5 points held 20 MB (f_inverse) and 26 MB (X
+    # margins) above its inputs; in blocks, the output and 20 blocks of
+    # floats (12.1 MB at 2^16 points per block) bound them
+    n = 200_000
+    bound = 8 * (n + 20 * pinch_functions._BLOCK)
+    rng = np.random.default_rng(5)
+    y = f_range_min(P_NEG) + rng.exponential(50.0, n)
+    spec, lam, mu, nu, t = _margin_cases(n)[0]
+    assert spec is SPEC_X
+    tracemalloc.start()
+    try:
+        for call in (lambda: f_inverse(y, P_NEG), lambda: margin_array(spec, lam, mu, nu, t)):
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            call()
+            assert tracemalloc.get_traced_memory()[1] - base <= bound
+    finally:
+        tracemalloc.stop()
 
 
 def test_membership_pins():

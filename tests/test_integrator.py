@@ -286,6 +286,21 @@ def test_crossings_in_one_step_come_in_event_order():
     assert lo < read.events[1].time < read.events[0].time < hi
 
 
+def test_crossings_in_a_short_step_are_located_within_it():
+    # near blow-up both crossings fall in one step of about 1.07e-10 in t,
+    # shorter than the absolute 1e-10 tolerance: bisection to 1e-6 of the
+    # step keeps nu_trigger strictly before nu_zero, each at a root
+    traj = integrate(EigenTriple(1e8, 0.5e8, -0.1e8), P0, 0.0, 1.0,
+                     events=standard_trigger_events(P0))
+    assert [(e.name, e.direction) for e in traj.events] == [("nu_zero", 1), ("nu_trigger", 1)]
+    zero, trigger = (e.time for e in traj.events)
+    assert (zero, trigger) == (8.767491001666181e-10, 8.76748996839198e-10)
+    g = dict(standard_trigger_events(P0))
+    for e in traj.events:
+        y = traj.eval_many(np.array([e.time]))[0]
+        assert abs(g[e.name](e.time, *y)) <= 1e-8 * abs(y[0])
+
+
 def test_fixed_step_error_decays_at_high_order():
     # pin the step with a huge tolerance so max_step controls everything;
     # halving the step must shrink the error by roughly 2^5.  The start is

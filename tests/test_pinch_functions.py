@@ -29,6 +29,7 @@ from pinchlab import (
     xi_pinch_rate,
     xi_pinch_rate_array,
 )
+from pinchlab import pinch_functions
 from pinchlab.eigen_ode import rhs_array
 from pinchlab.pinch_functions import (
     i_poly_array,
@@ -151,6 +152,34 @@ def test_f_inverse_non_finite_input():
     out = f_inverse(np.array([0.0, np.inf, 1.0]), P_NEG)
     assert out[1] == math.inf
     assert out[[0, 2]].tolist() == [f_inverse(0.0, P_NEG), f_inverse(1.0, P_NEG)]
+
+
+def test_f_inverse_in_blocks_keeps_every_bit(monkeypatch):
+    # blocks of 7 cut the grid across its rows; the transposed grid is
+    # not contiguous, and both keep their shapes and bits
+    grids = []
+    for rho in (-10.0, -1.0, 0.0, 0.2):
+        p = FlowParams(rho=rho)
+        y_min = f_range_min(p)
+        ys = y_min + abs(y_min) * np.geomspace(1e-12, 1e12, 60)
+        grid = np.r_[y_min, np.inf, 1e300, 0.0, ys].reshape(8, 8)
+        grids.append((p, grid, f_inverse(grid, p)))
+
+    def raised(y):
+        with pytest.raises(DomainError) as err:
+            f_inverse(y, P_NEG)
+        return str(err.value)
+
+    bad = [np.zeros(50), np.zeros(50)]
+    bad[0][45], bad[1][45] = math.nan, f_range_min(P_NEG) - 1.0
+    messages = [raised(y) for y in bad]
+    monkeypatch.setattr(pinch_functions, "_BLOCK", 7)
+    for p, grid, want in grids:
+        assert f_inverse(grid, p).tobytes() == want.tobytes()
+        assert f_inverse(grid.T, p).tobytes() == want.T.tobytes(order="C")
+    # a NaN or a below-range value in a later block is refused as in one pass
+    assert [raised(y) for y in bad] == messages
+    assert "NaN" in messages[0] and "below range minimum" in messages[1]
 
 
 def test_f_is_increasing_on_domain():

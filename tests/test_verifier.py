@@ -168,7 +168,7 @@ def test_scan_reports_do_not_depend_on_the_block_size(monkeypatch):
         return out
 
     default = reports()
-    monkeypatch.setattr(verifier, "_BLOCK", 7)
+    monkeypatch.setattr(pinch_functions, "_BLOCK", 7)
     assert reports() == default
 
 
