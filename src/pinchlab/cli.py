@@ -661,7 +661,3 @@ def main(argv=None) -> int:
     except (_UsageError, ValueError, SamplingExhausted) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-
-
-if __name__ == "__main__":
-    sys.exit(main())

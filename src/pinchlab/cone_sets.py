@@ -155,23 +155,26 @@ def _margins(spec: SetSpec, lam, mu, nu, t):
         return [("trace_floor", m1), ("ricci_log", m2)]
 
     if spec.kind is SetKind.TRACE_POSITIVE_RICCI_LOG:
-        tw = spec.time_factor(t)
-        trig = ric <= -1.0 / tw
-        # an untriggered entry takes a = 1, a finite bound that m2 discards
-        bound = ricci_log_bound(np.where(trig, -ric, 1.0), tw, p.rho)
-        m2 = np.where(trig, trace - bound, np.inf)
+        m2 = _log_margin(trace, ric, spec.time_factor(t), ricci_log_bound, p.rho)
         return [("trace_sign", trace + 0.0), ("ricci_log", m2)]
 
     # K and Y share the sectional-log constraints
     tf = spec.time_factor(t)
     m1 = trace + 3.0 / tf
-    trig = nu <= -1.0 / tf
-    bound = nu_log_bound(np.where(trig, -nu, 1.0), tf, p.theta)
-    m2 = np.where(trig, trace - bound, np.inf)
+    m2 = _log_margin(trace, nu, tf, nu_log_bound, p.theta)
     out = [("trace_floor", m1), ("nu_log", m2)]
     if spec.kind is SetKind.SECTIONAL_LOG_NONNEG_RICCI:
         out.append(("ricci_sign", ric + 0.0))
     return out
+
+
+def _log_margin(trace, s, tf, bound, const):
+    """The margin of a log face "s <= -1/tf => trace >= bound": trace
+    minus ``bound(-s, tf, const)`` where the trigger holds, +inf where it
+    is off.  W's face reads s = mu+nu and K/Y's s = nu."""
+    trig = s <= -1.0 / tf
+    # an untriggered entry takes a = 1, a finite bound that the margin discards
+    return np.where(trig, trace - bound(np.where(trig, -s, 1.0), tf, const), np.inf)
 
 
 def standard_trigger_events(params: FlowParams):

@@ -17,10 +17,10 @@ Four instruments:
   trajectory for the time-dependent regions).
 * ``check_estimate`` — asserts the scalar-curvature lower bounds along
   a trajectory wherever their trigger holds.
-* ``derivative_consistency`` — central-difference vs closed-form rate
-  for the two monotone quantities, the numerical cross-examination of
-  the exact derivative identities.  A trajectory's windows, at h and
-  h/2 in ``deriv_suite``, are evaluated in one dense call, and the
+* ``deriv_suite`` — central-difference vs closed-form rate for the two
+  monotone quantities over seeded short trajectories, the numerical
+  cross-examination of the exact derivative identities.  A trajectory's
+  windows, at h and h/2, are evaluated in one dense call, and the
   quantity and its rate in one kernel call each, not one call per
   difference point or per step.
 
@@ -75,14 +75,12 @@ __all__ = [
     "InvarianceReport",
     "EstimateReport",
     "EstimateSuiteReport",
-    "DerivReport",
     "DerivSuiteReport",
     "scan_inequality",
     "check_invariance",
     "invariance_is_claimed",
     "check_estimate",
     "estimate_suite",
-    "derivative_consistency",
     "deriv_suite",
 ]
 
@@ -531,14 +529,10 @@ def _hypothesis_ok(variant: EstimateVariant, row: np.ndarray) -> str | None:
     if variant is EstimateVariant.NEG_RHO_SCALAR:
         if lam + mu + nu < 0:
             return f"needs initial scalar curvature >= 0, got trace {lam+mu+nu}"
-    elif variant is EstimateVariant.NEG_RHO_SECTIONAL:
-        if mu + nu < 0:
-            return f"needs initial Ricci >= 0, got mu+nu = {mu+nu}"
-        if nu < -1.0:
-            return f"needs initial nu >= -1, got {nu}"
-    else:
-        if nu < -1.0:
-            return f"needs initial nu >= -1, got {nu}"
+    elif variant is EstimateVariant.NEG_RHO_SECTIONAL and mu + nu < 0:
+        return f"needs initial Ricci >= 0, got mu+nu = {mu+nu}"
+    elif nu < -1.0:  # the sectional and nonneg-rho variants
+        return f"needs initial nu >= -1, got {nu}"
     return None
 
 
@@ -689,14 +683,6 @@ class QuantityKind(enum.Enum):
 
 
 @dataclass(frozen=True)
-class DerivReport:
-    quantity: QuantityKind
-    h: float
-    max_discrepancy: float
-    checkpoints: int
-
-
-@dataclass(frozen=True)
 class DerivSuiteReport(_Work):
     quantity: QuantityKind
     params: FlowParams
@@ -713,53 +699,42 @@ class DerivSuiteReport(_Work):
 _DERIV_POINTS = 33  # central-difference points per window
 
 
-def derivative_consistency(
-    traj: Trajectory,
-    quantity: QuantityKind,
-    params: FlowParams,
-    h: float = 1e-4,
-    points: int = _DERIV_POINTS,
-) -> DerivReport:
-    """Central-difference vs closed-form rate along one trajectory.
+def _deriv_discrepancies(
+    traj: Trajectory, quantity: QuantityKind, params: FlowParams, hs: Sequence[float],
+) -> list[float]:
+    """The largest |central difference - closed-form rate| of the quantity
+    along one trajectory at each step in ``hs``, over ``_DERIV_POINTS``
+    window points per step.
 
     The closed forms are exact identities, so the discrepancy is pure
     finite-difference error, O(h^2), on top of the integrator's dense
-    interpolation floor.  Domain violations inside the sampled window
-    (mu+nu >= 0 for the ratio-log quantity, nu >= 0 or a dead time
-    factor for the sectional-log one) surface as DomainError.
+    interpolation floor.  Domain violations inside a window (mu+nu >= 0
+    for the ratio-log quantity, nu >= 0 or a dead time factor for the
+    sectional-log one) surface as DomainError.
 
-    The window is evaluated in one dense call: all ``3 * points`` times
-    (tau + h, tau - h, tau) go through one ``eval_many``, whose rows are
-    bit-identical to one-point evaluations, and the quantity and its
-    rate each go through one array kernel, with the bits of the
-    one-triple functions.  A DomainError names the first offending
-    point in (tau + h, tau - h, tau) order, point by point.
+    The windows of every step are evaluated in one dense call: all
+    ``3 * _DERIV_POINTS`` times per step (tau + h, tau - h, tau) go
+    through one ``eval_many``, whose rows are bit-identical to one-point
+    evaluations, and the quantity and its rate each go through one array
+    kernel, with the bits of the one-triple functions.  A DomainError
+    names the first offending point in (tau + h, tau - h, tau) order,
+    point by point.
     """
-    return _deriv_reports(traj, quantity, params, (h,), points)[0]
-
-
-def _deriv_reports(
-    traj: Trajectory, quantity: QuantityKind, params: FlowParams,
-    hs: Sequence[float], points: int,
-) -> list[DerivReport]:
-    """``derivative_consistency`` at each step in ``hs``, the windows of
-    every step evaluated in one ``eval_many`` call and one call of each
-    kernel."""
     t0, t1 = traj.t_start, traj.t_last
     for h in hs:
         if not h > 0:
             raise ValueError("h must be positive")
         if t1 - t0 <= 4 * h:
             raise ValueError(f"window [{t0}, {t1}] too short for h={h}")
-    taus = [np.linspace(t0 + 2 * h, t1 - 2 * h, points) for h in hs]
+    taus = [np.linspace(t0 + 2 * h, t1 - 2 * h, _DERIV_POINTS) for h in hs]
     ts = np.concatenate([t for h, tau in zip(hs, taus) for t in (tau + h, tau - h, tau)])
     rows = traj.eval_many(ts)
     # blocks of (step, slot, point); slots 0 and 1 hold tau +- h, slot 2 tau
-    ts = ts.reshape(len(hs), 3, points)
+    ts = ts.reshape(len(hs), 3, _DERIV_POINTS)
     try:
         if not np.isfinite(rows).all():
             raise DomainError("eigenvalues must be finite")
-        lmn = np.sort(rows, axis=1)[:, ::-1].T.reshape(3, len(hs), 3, points)
+        lmn = np.sort(rows, axis=1)[:, ::-1].T.reshape(3, len(hs), 3, _DERIV_POINTS)
         shifted, centred = lmn[:, :, :2], lmn[:, :, 2]
         if quantity is QuantityKind.LAMBDA_PINCH:
             q = lambda_pinch_array(*shifted, params.rho)
@@ -768,14 +743,11 @@ def _deriv_reports(
             q = xi_pinch_array(*shifted, params, ts[:, :2])
             cf = xi_pinch_rate_array(*centred, params, ts[:, 2])
     except DomainError:
-        _raise_at_first_point(quantity, params, rows.reshape(len(hs), 3, points, 3), ts)
+        _raise_at_first_point(quantity, params, rows.reshape(len(hs), 3, _DERIV_POINTS, 3), ts)
         raise
     fd = (q[:, 0] - q[:, 1]) / (2.0 * np.array(hs)[:, None])
     # max() over a list starting at 0.0 replaces only on >, so a NaN never wins
-    return [
-        DerivReport(quantity, h, max([0.0, *d.tolist()]), checkpoints=points)
-        for h, d in zip(hs, np.abs(fd - cf))
-    ]
+    return [max([0.0, *d.tolist()]) for d in np.abs(fd - cf)]
 
 
 def _raise_at_first_point(
@@ -829,11 +801,11 @@ def deriv_suite(
     states = _deriv_initial_states(quantity, trajectories, seed)
     lanes, work_done = _run_lanes(
         states, params, t_end, config,
-        lambda traj: _deriv_reports(traj, quantity, params, (h, h / 2), _DERIV_POINTS),
+        lambda traj: _deriv_discrepancies(traj, quantity, params, (h, h / 2)),
     )
-    at_h = [rep.max_discrepancy for rep, _ in lanes]
+    at_h = [d for d, _ in lanes]
     worst_h = max(at_h)
-    worst_h2 = max(rep2.max_discrepancy for _, rep2 in lanes)
+    worst_h2 = max(d2 for _, d2 in lanes)
     ratio = worst_h / worst_h2 if worst_h2 > 0 else math.inf
     return DerivSuiteReport(
         quantity=quantity,
@@ -845,6 +817,6 @@ def deriv_suite(
         max_discrepancy_half_h=worst_h2,
         decay_ratio=ratio,
         worst_trajectory=at_h.index(worst_h) if worst_h > 0 else None,
-        checkpoints=sum(rep.checkpoints + rep2.checkpoints for rep, rep2 in lanes),
+        checkpoints=2 * _DERIV_POINTS * trajectories,
         **asdict(work_done),
     )

@@ -410,6 +410,30 @@ def test_config_rejects_unknown_keys(tmp_path, capsys):
     )
 
 
+BAD_CONFIGS = {
+    "unreadable": (None, "error: cannot read config {cfg}: "),
+    "not JSON": ("{", "error: config {cfg} is not valid JSON: "),
+    "not an object": ("[1]", "error: config {cfg} must be a JSON object\n"),
+    "section not an object": ('{"params": 3}', "error: config section 'params' must be an object\n"),
+    "format": ('{"output": {"format": "csv"}}', "error: --format must be json or text, got 'csv'\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_CONFIGS))
+def test_bad_config_is_usage_error(case, tmp_path, capsys):
+    text, message = BAD_CONFIGS[case]
+    cfg = tmp_path / "cfg.json"
+    if text is not None:
+        cfg.write_text(text)
+    out = tmp_path / "never.json"
+    assert run(["scan", "--config", cfg, "--kind", "j-neg-trace", "--rho", "-1",
+                "--resolution", "20", "--out", out]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(cfg=cfg))
+    assert err.endswith("\n") and err.count("\n") == 1
+    assert not out.exists()
+
+
 WRONG_TYPES = {
     "command.samples": ("verify-set", {"command": {"set": "X", "samples": [3]}}),
     "params.rho": ("scan", {"params": {"rho": [1]}, "command": {"kind": "i-poly"}}),
@@ -523,6 +547,30 @@ def test_plot_rejects_a_ragged_row(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {csv_path} line 4 has 1 cells, its header 2\n"
     )
+    assert not svg_path.exists()
+
+
+BAD_PLOT_INPUTS = {
+    "unreadable": (None, "R", "error: cannot read {src}: "),
+    "no header": ("# meta only\n\n", "R", "error: {src} has no header row\n"),
+    "missing column": ("t,R\n0,1\n", "R,lambda",
+                       "error: columns ['lambda'] not in {src} (has: ['t', 'R'])\n"),
+    "no t column": ("s,R\n0,1\n", "R", "error: columns ['t'] not in {src} (has: ['s', 'R'])\n"),
+    "nothing finite": ("t,R\n0,nan\n1,inf\n", "R", "error: nothing finite to plot\n"),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_PLOT_INPUTS))
+def test_plot_refuses_input_it_cannot_draw(case, tmp_path, capsys):
+    text, columns, message = BAD_PLOT_INPUTS[case]
+    csv_path = tmp_path / "in.csv"
+    if text is not None:
+        csv_path.write_text(text)
+    svg_path = tmp_path / "never.svg"
+    assert run(["plot", "--in", csv_path, "--columns", columns, "--out", svg_path]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message.format(src=csv_path))
+    assert err.endswith("\n") and err.count("\n") == 1
     assert not svg_path.exists()
 
 

@@ -23,7 +23,7 @@ from pinchlab import (
     sample_set,
 )
 from pinchlab import cone_sets, pinch_functions
-from pinchlab.cone_sets import constraint_margins, default_box_halfwidth
+from pinchlab.cone_sets import constraint_margins, default_box_halfwidth, standard_trigger_events
 
 P_NEG = FlowParams(rho=-1.0)
 SPEC_X = SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG)
@@ -311,7 +311,68 @@ def test_log_margins_keep_the_bits_of_their_first_expressions(spec):
     assert got.tobytes() == want.tobytes()
 
 
+# each trigger event against the log face it announces: (event, region, face)
+TRIGGER_FACES = [
+    ("nu_trigger", SetKind.SECTIONAL_LOG, "nu_log"),
+    ("ricci_trigger", SetKind.TRACE_POSITIVE_RICCI_LOG, "ricci_log"),
+]
+TRIGGER_PARAMS = [
+    P_NEG,  # both regions
+    FlowParams(rho=0.1),  # K only
+    FlowParams(rho=-0.5, eta=1.0, theta=1.0),  # both
+    FlowParams(rho=-1.0, eta=1.0),  # W only: 1 + eta*rho = 0
+]
+
+
+@pytest.mark.parametrize("params", TRIGGER_PARAMS, ids=repr)
+def test_trigger_events_fire_exactly_where_their_log_faces_are_on(params):
+    # the events and the margins each write their trigger threshold; an
+    # event is <= 0 exactly where its face's margin is finite, and is
+    # offered exactly when its region is admitted
+    events = dict(standard_trigger_events(params))
+    n = 20_000
+    rng = np.random.default_rng(22)
+    t = rng.uniform(0.0, 2.0, size=n)
+    lam, mu, nu = np.sort(rng.uniform(-3.0, 3.0, size=(n, 3)), axis=1)[:, ::-1].T
+    # the last third puts s (nu for K, mu+nu for W) on the threshold, one
+    # ulp below it or one ulp above it, in turn
+    on = np.arange(n) >= 2 * n // 3
+    step = np.arange(n)[on] % 3
+    for name, kind, face in TRIGGER_FACES:
+        try:
+            spec = SetSpec(kind, params)
+        except DomainError:
+            assert name not in events
+            continue
+        threshold = -1.0 / spec.time_factor(t[on])
+        s = np.select(
+            [step == 0, step == 1],
+            [threshold, np.nextafter(threshold, -np.inf)],
+            np.nextafter(threshold, np.inf),
+        )
+        l, m, v = lam.copy(), mu.copy(), nu.copy()
+        if kind is SetKind.SECTIONAL_LOG:
+            v[on] = s
+            m[on] = np.maximum(m[on], s)
+        else:
+            m[on] = v[on] = 0.5 * s
+            assert (m[on] + v[on] == s).all()  # halving is exact here
+        l[on] = np.maximum(l[on], m[on])
+        fired = events[name](t, l, m, v) <= 0.0
+        finite = np.isfinite(dict(constraint_margins(spec, l, m, v, t))[face])
+        assert (fired == finite).all()
+        assert (fired[on] == (step != 2)).all()
+        assert fired[~on].any() and not fired[~on].all()
+
+
 # ------------------------------------------------------------------ sampling
+
+
+def test_sample_set_refuses_zero_count(monkeypatch):
+    # refused before the first draw is checked
+    monkeypatch.setattr(cone_sets, "margin_array", None)
+    with pytest.raises(ValueError, match=r"^count must be positive$"):
+        sample_set(SPEC_X, 0.0, 0, seed=0)
 
 
 def test_sampler_is_reproducible():

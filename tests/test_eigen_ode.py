@@ -47,6 +47,15 @@ def test_params_reject_rho_at_or_above_quarter(rho):
     assert RHO_MAX == 0.25
 
 
+@pytest.mark.parametrize("field,value", [
+    ("rho", math.nan), ("rho", -math.inf), ("eta", math.nan), ("theta", math.inf),
+])
+def test_params_reject_nonfinite_fields(field, value):
+    # a NaN rho would slip past the rho >= 1/4 refusal: NaN compares False
+    with pytest.raises(DomainError, match=f"^{field} must be finite$"):
+        FlowParams(**{"rho": 0.0, field: value})
+
+
 def test_params_reject_nonpositive_theta():
     with pytest.raises(DomainError):
         FlowParams(rho=0.0, theta=0.0)

@@ -21,7 +21,6 @@ from pinchlab import (
     check_estimate,
     check_invariance,
     deriv_suite,
-    derivative_consistency,
     estimate_suite,
     integrate,
     invariance_is_claimed,
@@ -30,7 +29,13 @@ from pinchlab import (
 from pinchlab import pinch_functions, verifier
 from pinchlab.cone_sets import sample_set
 from pinchlab.pinch_functions import estimate_rhs_array
-from pinchlab.verifier import _deriv_initial_states, _drift, _estimate_initial_states
+from pinchlab.verifier import (
+    _checkpoint_times,
+    _deriv_discrepancies,
+    _deriv_initial_states,
+    _drift,
+    _estimate_initial_states,
+)
 
 P_NEG = FlowParams(rho=-1.0)
 
@@ -350,6 +355,18 @@ def test_random_mode_does_not_read_resolution():
     assert grid == scan_inequality(InequalityKind.TRACE_BOUND, P_NEG, resolution=5)
 
 
+@pytest.mark.parametrize("kind,params,kwargs,message", [
+    (InequalityKind.J_NEG_TRACE, P_NEG, {"resolution": 1}, "resolution must be >= 2"),
+    (InequalityKind.I_POLY, FlowParams(rho=0.1), {"samples": 10},
+     "random-state mode exists only for trace-bound scans"),
+    (InequalityKind.XI_PRIME, FlowParams(rho=-0.5, eta=1.0, theta=1.0), {"samples": 10},
+     "random-state mode exists only for trace-bound scans"),
+])
+def test_scan_refuses_a_grid_or_mode_it_cannot_read(kind, params, kwargs, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        scan_inequality(kind, params, **kwargs)
+
+
 # -------------------------------------------------------------- invariance
 
 
@@ -372,6 +389,19 @@ def test_claim_taxonomy():
     )
 
 
+def test_a_trajectory_of_zero_steps_is_read_at_its_start():
+    # the first step is refused at this tolerance and the step budget is
+    # spent: one node, no dense step, and t0 the only time in range
+    start = EigenTriple(1.0, 0.5, -0.5)
+    cfg = IntegratorConfig(max_steps=1, rel_tol=1e-15, abs_tol=1e-18)
+    traj = integrate(start, FlowParams(rho=-1.0), 0.0, 1.0, cfg)
+    assert traj.terminal.kind == "step_limit"
+    assert traj.stats["accepted"] == 0
+    assert traj.eval_many(0.0).tolist() == list(start.as_tuple())
+    assert traj.eval_many(np.zeros(2)).tolist() == [list(start.as_tuple())] * 2
+    assert _checkpoint_times(traj).tolist() == [0.0]
+
+
 def test_invariance_small_run():
     spec = SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG)
     rep = check_invariance(spec, samples=24, horizon=0.05, seed=42)
@@ -380,6 +410,20 @@ def test_invariance_small_run():
     assert rep.violating_seed is None
     assert rep.samples == 24
     assert rep.checkpoints > 0
+
+
+@pytest.mark.parametrize("kwargs,message", [
+    ({"horizon": 0.0}, "horizon must be positive"),
+    ({"horizon": -0.05}, "horizon must be positive"),
+    ({"samples": 0}, "samples must be positive"),
+    ({"samples": -3}, "samples must be positive"),
+])
+def test_invariance_refuses_a_run_that_checks_nothing(kwargs, message, monkeypatch):
+    # refused before a state is drawn
+    monkeypatch.setattr(verifier, "sample_set", None)
+    run = {"samples": 4, "horizon": 0.05, **kwargs}
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        check_invariance(SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), seed=0, **run)
 
 
 def test_invariance_is_order_independent():
@@ -499,6 +543,23 @@ def test_estimate_hypothesis_gate():
     bad2 = integrate(EigenTriple(3.0, 2.0, -1.5), p2, 0.0, 0.01)  # nu < -1
     with pytest.raises(HypothesisViolated):
         check_estimate(bad2, EstimateVariant.NEG_RHO_SECTIONAL, p2)
+
+
+@pytest.mark.parametrize("variant,params,start,message", [
+    (EstimateVariant.NEG_RHO_SCALAR, P_NEG, (0.5, -1.0, -1.0),
+     "neg-rho-scalar: needs initial scalar curvature >= 0, got trace -1.5"),
+    (EstimateVariant.NEG_RHO_SECTIONAL, FlowParams(rho=-0.5, eta=1.0), (2.0, -0.5, -1.0),
+     "neg-rho-sectional: needs initial Ricci >= 0, got mu+nu = -1.5"),
+    (EstimateVariant.NEG_RHO_SECTIONAL, FlowParams(rho=-0.5, eta=1.0), (3.0, 2.0, -1.5),
+     "neg-rho-sectional: needs initial nu >= -1, got -1.5"),
+    (EstimateVariant.NONNEG_RHO, FlowParams(rho=0.1), (3.0, 2.0, -1.5),
+     "nonneg-rho: needs initial nu >= -1, got -1.5"),
+])
+def test_estimate_hypothesis_names_what_the_start_lacks(variant, params, start, message):
+    traj = integrate(EigenTriple(*start), params, 0.0, 0.01)
+    with pytest.raises(HypothesisViolated) as info:
+        check_estimate(traj, variant, params)
+    assert str(info.value) == message
 
 
 def test_estimate_rejects_wrong_params():
@@ -664,8 +725,8 @@ def test_estimate_suite_reproducible():
 
 def test_derivative_consistency_single_trajectory():
     traj = integrate(EigenTriple(0.5, -0.8, -0.9), P_NEG, 0.0, 0.01)
-    rep = derivative_consistency(traj, QuantityKind.LAMBDA_PINCH, P_NEG)
-    assert rep.max_discrepancy < 1e-5
+    (max_discrepancy,) = _deriv_discrepancies(traj, QuantityKind.LAMBDA_PINCH, P_NEG, (1e-4,))
+    assert max_discrepancy < 1e-5
 
 
 # (max_discrepancy, max_discrepancy_half_h, decay_ratio) at the default
@@ -696,9 +757,7 @@ def test_deriv_suite_reports_worst_trajectory_and_work():
     rep = deriv_suite(QuantityKind.XI_PINCH, p, trajectories=5, seed=3, t_end=0.005)
     assert rep.checkpoints == 5 * 33 * 2
     per_traj = [
-        derivative_consistency(
-            integrate(s, p, 0.0, 0.005), QuantityKind.XI_PINCH, p
-        ).max_discrepancy
+        _deriv_discrepancies(integrate(s, p, 0.0, 0.005), QuantityKind.XI_PINCH, p, (1e-4,))[0]
         for s in _deriv_initial_states(QuantityKind.XI_PINCH, 5, 3)
     ]
     assert rep.worst_trajectory == int(np.argmax(per_traj))
@@ -747,7 +806,7 @@ def test_deriv_suite_calls_each_kernel_once_per_trajectory(quantity, monkeypatch
 def test_derivative_consistency_rejects_nan_h():
     traj = integrate(EigenTriple(0.5, -0.8, -0.9), P_NEG, 0.0, 0.01)
     with pytest.raises(ValueError, match="^h must be positive$"):
-        derivative_consistency(traj, QuantityKind.LAMBDA_PINCH, P_NEG, h=math.nan)
+        _deriv_discrepancies(traj, QuantityKind.LAMBDA_PINCH, P_NEG, (math.nan,))
 
 
 @pytest.mark.parametrize("state,params,quantity,t_end,message", [
@@ -761,7 +820,7 @@ def test_deriv_window_leaving_the_domain_is_named(state, params, quantity, t_end
     # inside the window, and the first point past it is a tau + h one
     traj = integrate(state, params, 0.0, t_end)
     with pytest.raises(DomainError) as info:
-        derivative_consistency(traj, quantity, params)
+        _deriv_discrepancies(traj, quantity, params, (1e-4,))
     assert str(info.value) == message
 
 
@@ -801,7 +860,7 @@ def test_deriv_domain_error_names_the_first_point_in_window_order(special, quant
     # point-by-point evaluation
     p = P_NEG if quantity is QuantityKind.LAMBDA_PINCH else FlowParams(rho=0.1)
     with pytest.raises(DomainError) as info:
-        derivative_consistency(_WindowStub(special), quantity, p)
+        _deriv_discrepancies(_WindowStub(special), quantity, p, (1e-4,))
     assert str(info.value) == message
 
 
@@ -842,8 +901,7 @@ def test_each_suite_keeps_its_worst_lane_rule(monkeypatch):
         rep = check_invariance(spec, samples=4, horizon=0.01, seed=0)
         assert (rep.worst_drift, rep.violating_seed) == want
 
-    flat = verifier.DerivReport(QuantityKind.LAMBDA_PINCH, 1e-4, 0.0, 33)
-    monkeypatch.setattr(verifier, "_deriv_reports", lambda *args: [flat, flat])
+    monkeypatch.setattr(verifier, "_deriv_discrepancies", lambda *args: [0.0, 0.0])
     rep = deriv_suite(QuantityKind.LAMBDA_PINCH, P_NEG, trajectories=3)
     assert (rep.max_discrepancy, rep.worst_trajectory) == (0.0, None)
 
