@@ -327,8 +327,6 @@ def _write(opts: dict, meta: dict, report) -> None:
     out, fmt = opts["output"].get("out"), opts["output"].get("format")
     if fmt is None:
         fmt = "json" if out is not None and out.endswith(".json") else "text"
-    elif fmt not in ("json", "text"):
-        raise _UsageError(f"--format must be json or text, got {fmt!r}")
     write_report({"meta": meta, "report": report}, out, fmt)
 
 
@@ -599,7 +597,9 @@ def _resolve(args: argparse.Namespace, config: dict, opts: tuple[_Opt, ...]) -> 
     """Each option's value, flag over file over default, cast and grouped
     by config section.  Options left to the called function's default
     are absent.  Sections resolve in ``_CONFIG_SECTIONS`` order, so the
-    inputs of a run are checked before its outputs."""
+    inputs of a run are checked before its outputs, and all of them
+    before the run.  argparse refuses a flag outside an option's
+    ``choices``; a config value outside them is refused here."""
     values: dict = {section: {} for section in _CONFIG_SECTIONS}
     for opt in sorted(opts, key=lambda o: _CONFIG_SECTIONS.index(o.section)):
         v = getattr(args, opt.key)
@@ -609,8 +609,16 @@ def _resolve(args: argparse.Namespace, config: dict, opts: tuple[_Opt, ...]) -> 
             v = opt.default
         if v is _REQUIRED:
             raise _UsageError(f"missing required option {opt.flag_name}")
-        if v is not None:
-            values[opt.section][opt.key] = _cast(opt.section, opt.key, v, opt.cast)
+        if v is None:
+            continue
+        v = _cast(opt.section, opt.key, v, opt.cast)
+        choices = (opt.kw or {}).get("choices")
+        if choices is not None and v not in choices:
+            raise _UsageError(
+                f"config value {opt.section}.{opt.key} must be "
+                f"{' or '.join(choices)}, got {v!r}"
+            )
+        values[opt.section][opt.key] = v
     return values
 
 

@@ -53,7 +53,7 @@ from typing import Callable
 import numpy as np
 
 from .eigen_ode import EigenTriple, FlowParams
-from .errors import DomainError, SamplingExhausted
+from .errors import DomainError, SamplingExhausted, _require_integer
 from .pinch_functions import _blockwise, f_inverse, f_range_min, nu_log_bound, ricci_log_bound
 
 __all__ = [
@@ -264,6 +264,7 @@ def sample_set(
     Raises SamplingExhausted when the per-sample rejection budget or
     the band-landing bisection budget runs out (thin or empty target).
     """
+    _require_integer("count", count)
     if count <= 0:
         raise ValueError("count must be positive")
     if not band >= 0:  # NaN too

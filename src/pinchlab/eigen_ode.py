@@ -162,8 +162,9 @@ def rhs_array(l, m, n, rho: float):
     Evaluated in one pass with no reordering; the system preserves the
     eigenvalue ordering on its own (differences of consecutive
     derivatives factor through differences of consecutive eigenvalues).
-    The integrator's stages evaluate it, so its operand order fixes
-    every trajectory bit for bit.
+    ``integrator._projected`` holds a scalar copy of it for the stepper's
+    stages, in the same operand order and pinned to it bit for bit by a
+    test, so this order fixes every trajectory.
     """
     t4 = 4.0 * rho * (l + m + n)
     return (

@@ -1,4 +1,6 @@
-"""Exception types shared across the package."""
+"""Exception types, and the integer check, shared across the package."""
+
+import numpy as np
 
 __all__ = [
     "BlowUpReached",
@@ -34,3 +36,11 @@ class EmptyRegion(ValueError):
 class HypothesisViolated(ValueError):
     """A trajectory's initial state fails the hypothesis of the estimate
     being checked."""
+
+
+def _require_integer(name: str, value) -> None:
+    """Raise TypeError naming ``name`` unless ``value`` is an integer
+    (bools excluded); range(), linspace and numpy's seeding would refuse
+    a float later, naming no argument."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise TypeError(f"{name} must be an integer, got {value!r}")

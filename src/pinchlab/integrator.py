@@ -17,11 +17,13 @@ follows in a few hundred steps instead of about 80 steps per decade of
 The stepper is the Dormand-Prince 5(4) pair on z = (u, l, t): the
 fifth-order solution is propagated, the embedded fourth-order solution
 drives the error estimate, and the first-same-as-last property saves one
-derivative evaluation per step.  Every stage takes F from
-``eigen_ode.rhs_array`` through ``_projected``.  The error norm is the
-RMS over the five components, each scaled by its own tolerance: abs_tol
-+ rel_tol * max(|u_i|, |u1_i|) for u, rel_tol for l (an error in l is a
-relative error in y), and abs_tol + rel_tol * max(|t|, |t1|) for t.
+derivative evaluation per step.  Every stage takes its projected field
+from ``_projected``, which writes F out in the operand order of
+``eigen_ode.rhs_array``; a test pins the two copies together bit for
+bit.  The error norm is the RMS over the five components, each scaled
+by its own tolerance: abs_tol + rel_tol * max(|u_i|, |u1_i|) for u,
+rel_tol for l (an error in l is a relative error in y), and abs_tol +
+rel_tol * max(|t|, |t1|) for t.
 Step sizes in s follow a proportional-integral controller (alpha =
 0.7/5, beta = 0.4/5, safety 0.9, factors clamped to [0.2, 10]).  Each
 accepted step keeps its stage derivatives; when the trajectory ends,
@@ -45,7 +47,8 @@ A trajectory is still read in t: ``times`` and ``states_array`` hold t
 and y = e^l u at the accepted nodes.  ``eval_many`` finds the step that
 covers each time, solves t(sigma) = t on that step's clock by two
 guarded Newton steps from the sigma of an exponential clock, and returns
-e^l(sigma) u(sigma); nodes are returned exactly.
+e^l(sigma) u(sigma); a node's row is copied from ``states_array``
+without the clock inversion.
 
 Terminal rules:
 
@@ -284,9 +287,10 @@ class Trajectory:
     def eval_many(self, ts) -> np.ndarray:
         """Dense evaluation at an array of times, (len(ts), 3).
 
-        Stored nodes are returned bit-exact; an interior time is mapped
-        to the fraction sigma of its covering step at which the step's
-        clock reaches it, and evaluates to e^l(sigma) u(sigma).  Every
+        Stored nodes are copied bit-exact from ``states_array`` and skip
+        the clock inversion; an interior time is mapped to the fraction
+        sigma of its covering step at which the step's clock reaches
+        it, and evaluates to e^l(sigma) u(sigma).  Every
         row depends on its own time only, so a batch gives the same
         rows, bit for bit, as one call per time.  Times outside the
         covered interval, including NaN and infinities, raise OutOfRange.
@@ -307,15 +311,17 @@ class Trajectory:
             # degenerate single-node trajectory: only t0 is in range
             out = np.repeat(self.states_array[:1], flat.size, axis=0)
             return out if ts.ndim else out[0]
-        # a time off the nodes lies inside step k - 1; nodes keep their state
-        step = np.maximum(k - 1, 0)
-        # coefficient, component, point: every operand below is contiguous
-        c = np.ascontiguousarray(self.dense[step].transpose(2, 1, 0))
-        sig = _sigma_at(c, self.times[step], self.times[step + 1], flat)
-        y = _horner(c[:, :4], sig)
-        out = np.where(
-            (self.times[k] == flat)[:, None], self.states_array[k], (np.exp(y[3]) * y[:3]).T
-        )
+        # nodes keep their state, a fresh copy; only a time off the nodes,
+        # inside step k - 1, pays for the clock inversion
+        out = self.states_array[k]
+        off = np.flatnonzero(self.times[k] != flat)
+        if off.size:
+            step = k[off] - 1
+            # coefficient, component, point: every operand below is contiguous
+            c = np.ascontiguousarray(self.dense[step].transpose(2, 1, 0))
+            sig = _sigma_at(c, self.times[step], self.times[step + 1], flat[off])
+            y = _horner(c[:, :4], sig)
+            out[off] = (np.exp(y[3]) * y[:3]).T
         return out if ts.ndim else out[0]
 
     def eval_at(self, t: float) -> EigenTriple:
@@ -354,9 +360,16 @@ def _dense_weights(starts: np.ndarray, hs: np.ndarray, stages: np.ndarray) -> np
 
 def _projected(l, m, n, rho):
     """The projected field k = F(u) - g u at u = (l, m, n) and the l-rate
-    g = <u, F(u)>/|u|^2, with F = eigen_ode.rhs_array: (kl, km, kn, g).
-    Raises ZeroDivisionError at u = 0."""
-    fl, fm, fn = rhs_array(l, m, n, rho)
+    g = <u, F(u)>/|u|^2: (kl, km, kn, g).  Raises ZeroDivisionError at
+    u = 0.
+
+    F is written out here, in the operand order of eigen_ode.rhs_array,
+    so that a stage costs one Python call; a test pins the two copies
+    together bit for bit."""
+    t4 = 4.0 * rho * (l + m + n)
+    fl = 2.0 * l * l + 2.0 * m * n - t4 * l
+    fm = 2.0 * m * m + 2.0 * l * n - t4 * m
+    fn = 2.0 * n * n + 2.0 * l * m - t4 * n
     g = (l * fl + m * fm + n * fn) / (l * l + m * m + n * n)
     return fl - g * l, fm - g * m, fn - g * n, g
 
@@ -445,6 +458,12 @@ def integrate(
     hs: list[float] = []
     stages: list[float] = []  # k1, k3..k7 of every accepted step, 5 each
 
+    # the tableau as locals: the loop body reads each entry at every step
+    a21, a31, a32, a41, a42, a43 = _A21, _A31, _A32, _A41, _A42, _A43
+    a51, a52, a53, a54 = _A51, _A52, _A53, _A54
+    a61, a62, a63, a64, a65 = _A61, _A62, _A63, _A64, _A65
+    b1, b3, b4, b5, b6 = _B1, _B3, _B4, _B5, _B6
+    e1, e3, e4, e5, e6, e7 = _E1, _E3, _E4, _E5, _E6, _E7
     rho = params.rho
     k1l, k1m, k1n, g1 = _projected(ul, um, un, rho)
     h = _initial_step((ul, um, un), rhs_array(ul, um, un, rho))
@@ -457,46 +476,46 @@ def integrate(
         if not landing:
             # the step that adds max_step, or what is left to t_end, to t
             # at the l-rate g1 held fixed; one sized to t_end lands on it
-            dt = min(max_step, t_end - t)
+            dt = t_end - t if t_end - t < max_step else max_step
             x = dt * g1 * scale
             if x < 1.0:
                 hc = dt * scale if x == 0.0 else -log1p(-x) / g1
                 if hc <= h:
                     h, landing = hc, dt == t_end - t
         try:
-            ha = h * _A21
+            ha = h * a21
             k2l, k2m, k2n, g2 = _projected(ul + ha * k1l, um + ha * k1m, un + ha * k1n, rho)
 
-            al = ul + h * (_A31 * k1l + _A32 * k2l)
-            am = um + h * (_A31 * k1m + _A32 * k2m)
-            an = un + h * (_A31 * k1n + _A32 * k2n)
+            al = ul + h * (a31 * k1l + a32 * k2l)
+            am = um + h * (a31 * k1m + a32 * k2m)
+            an = un + h * (a31 * k1n + a32 * k2n)
             k3l, k3m, k3n, g3 = _projected(al, am, an, rho)
-            e3 = exp(-h * (_A31 * g1 + _A32 * g2))
+            d3 = exp(-h * (a31 * g1 + a32 * g2))
 
-            al = ul + h * (_A41 * k1l + _A42 * k2l + _A43 * k3l)
-            am = um + h * (_A41 * k1m + _A42 * k2m + _A43 * k3m)
-            an = un + h * (_A41 * k1n + _A42 * k2n + _A43 * k3n)
+            al = ul + h * (a41 * k1l + a42 * k2l + a43 * k3l)
+            am = um + h * (a41 * k1m + a42 * k2m + a43 * k3m)
+            an = un + h * (a41 * k1n + a42 * k2n + a43 * k3n)
             k4l, k4m, k4n, g4 = _projected(al, am, an, rho)
-            e4 = exp(-h * (_A41 * g1 + _A42 * g2 + _A43 * g3))
+            d4 = exp(-h * (a41 * g1 + a42 * g2 + a43 * g3))
 
-            al = ul + h * (_A51 * k1l + _A52 * k2l + _A53 * k3l + _A54 * k4l)
-            am = um + h * (_A51 * k1m + _A52 * k2m + _A53 * k3m + _A54 * k4m)
-            an = un + h * (_A51 * k1n + _A52 * k2n + _A53 * k3n + _A54 * k4n)
+            al = ul + h * (a51 * k1l + a52 * k2l + a53 * k3l + a54 * k4l)
+            am = um + h * (a51 * k1m + a52 * k2m + a53 * k3m + a54 * k4m)
+            an = un + h * (a51 * k1n + a52 * k2n + a53 * k3n + a54 * k4n)
             k5l, k5m, k5n, g5 = _projected(al, am, an, rho)
-            e5 = exp(-h * (_A51 * g1 + _A52 * g2 + _A53 * g3 + _A54 * g4))
+            d5 = exp(-h * (a51 * g1 + a52 * g2 + a53 * g3 + a54 * g4))
 
-            al = ul + h * (_A61 * k1l + _A62 * k2l + _A63 * k3l + _A64 * k4l + _A65 * k5l)
-            am = um + h * (_A61 * k1m + _A62 * k2m + _A63 * k3m + _A64 * k4m + _A65 * k5m)
-            an = un + h * (_A61 * k1n + _A62 * k2n + _A63 * k3n + _A64 * k4n + _A65 * k5n)
+            al = ul + h * (a61 * k1l + a62 * k2l + a63 * k3l + a64 * k4l + a65 * k5l)
+            am = um + h * (a61 * k1m + a62 * k2m + a63 * k3m + a64 * k4m + a65 * k5m)
+            an = un + h * (a61 * k1n + a62 * k2n + a63 * k3n + a64 * k4n + a65 * k5n)
             k6l, k6m, k6n, g6 = _projected(al, am, an, rho)
-            e6 = exp(-h * (_A61 * g1 + _A62 * g2 + _A63 * g3 + _A64 * g4 + _A65 * g5))
+            d6 = exp(-h * (a61 * g1 + a62 * g2 + a63 * g3 + a64 * g4 + a65 * g5))
 
-            u1l = ul + h * (_B1 * k1l + _B3 * k3l + _B4 * k4l + _B5 * k5l + _B6 * k6l)
-            u1m = um + h * (_B1 * k1m + _B3 * k3m + _B4 * k4m + _B5 * k5m + _B6 * k6m)
-            u1n = un + h * (_B1 * k1n + _B3 * k3n + _B4 * k4n + _B5 * k5n + _B6 * k6n)
-            rise = h * (_B1 * g1 + _B3 * g3 + _B4 * g4 + _B5 * g5 + _B6 * g6)
+            u1l = ul + h * (b1 * k1l + b3 * k3l + b4 * k4l + b5 * k5l + b6 * k6l)
+            u1m = um + h * (b1 * k1m + b3 * k3m + b4 * k4m + b5 * k5m + b6 * k6m)
+            u1n = un + h * (b1 * k1n + b3 * k3n + b4 * k4n + b5 * k5n + b6 * k6n)
+            rise = h * (b1 * g1 + b3 * g3 + b4 * g4 + b5 * g5 + b6 * g6)
             k7l, k7m, k7n, g7 = _projected(u1l, u1m, u1n, rho)
-            e7 = exp(-rise)
+            d7 = exp(-rise)
             ell1 = ell + rise
             scale1 = exp(ell1)
         except (OverflowError, ZeroDivisionError):
@@ -506,10 +525,10 @@ def integrate(
             landing = False
             continue
 
-        el = h * (_E1 * k1l + _E3 * k3l + _E4 * k4l + _E5 * k5l + _E6 * k6l + _E7 * k7l)
-        em = h * (_E1 * k1m + _E3 * k3m + _E4 * k4m + _E5 * k5m + _E6 * k6m + _E7 * k7m)
-        en = h * (_E1 * k1n + _E3 * k3n + _E4 * k4n + _E5 * k5n + _E6 * k6n + _E7 * k7n)
-        eg = h * (_E1 * g1 + _E3 * g3 + _E4 * g4 + _E5 * g5 + _E6 * g6 + _E7 * g7)
+        el = h * (e1 * k1l + e3 * k3l + e4 * k4l + e5 * k5l + e6 * k6l + e7 * k7l)
+        em = h * (e1 * k1m + e3 * k3m + e4 * k4m + e5 * k5m + e6 * k6m + e7 * k7m)
+        en = h * (e1 * k1n + e3 * k3n + e4 * k4n + e5 * k5n + e6 * k6n + e7 * k7n)
+        eg = h * (e1 * g1 + e3 * g3 + e4 * g4 + e5 * g5 + e6 * g6 + e7 * g7)
 
         # The clock, dt/ds = e^(-l): its plain quadrature errs by _QUAD
         # rise^6 of the step's t-increment, always in one direction.  The
@@ -518,11 +537,11 @@ def integrate(
         # quadrature error exceeds the l error estimate over rise.
         amp = clock * h / rise if _QUAD * abs(rise) ** 7 > abs(eg) else 0.0
         c1 = clock - amp * g1
-        c3, c4, c5 = e3 * (clock - amp * g3), e4 * (clock - amp * g4), e5 * (clock - amp * g5)
-        c6, c7 = e6 * (clock - amp * g6), e7 * (clock - amp * g7)
-        t1 = t + (h * (_B1 * c1 + _B3 * c3 + _B4 * c4 + _B5 * c5 + _B6 * c6) - amp * expm1(-rise))
+        c3, c4, c5 = d3 * (clock - amp * g3), d4 * (clock - amp * g4), d5 * (clock - amp * g5)
+        c6, c7 = d6 * (clock - amp * g6), d7 * (clock - amp * g7)
+        t1 = t + (h * (b1 * c1 + b3 * c3 + b4 * c4 + b5 * c5 + b6 * c6) - amp * expm1(-rise))
         # the embedded l moves the split's exact part by A e^(-rise) eg
-        et = h * (_E1 * c1 + _E3 * c3 + _E4 * c4 + _E5 * c5 + _E6 * c6 + _E7 * c7) + amp * e7 * eg
+        et = h * (e1 * c1 + e3 * c3 + e4 * c4 + e5 * c5 + e6 * c6 + e7 * c7) + amp * d7 * eg
         y1l, y1m, y1n = scale1 * u1l, scale1 * u1m, scale1 * u1n
 
         if not (
@@ -534,14 +553,18 @@ def integrate(
             h *= 0.25
             landing = False
             continue
-        # RMS over u, l and t of the error, each scaled by its tolerance
-        rl = el / (atol + rtol * max(abs(ul), abs(u1l)))
-        rm = em / (atol + rtol * max(abs(um), abs(u1m)))
-        rn = en / (atol + rtol * max(abs(un), abs(u1n)))
+        # RMS over u, l and t of the error, each scaled by its tolerance;
+        # each max(|a|, |b|) is written as a conditional expression, which
+        # costs less than a call of max
+        pl, pm, pn, ql, qm, qn = abs(ul), abs(um), abs(un), abs(u1l), abs(u1m), abs(u1n)
+        rl = el / (atol + rtol * (pl if pl >= ql else ql))
+        rm = em / (atol + rtol * (pm if pm >= qm else qm))
+        rn = en / (atol + rtol * (pn if pn >= qn else qn))
         rg = eg / rtol
         # t1 clipped to [t, t_end]: a wild claimed t1 must not widen its
         # own tolerance
-        rt = et / (atol + rtol * max(abs(t), abs(min(max(t1, t), t_end))))
+        pt, qt = abs(t), abs(t if t1 < t else t1 if t1 < t_end else t_end)
+        rt = et / (atol + rtol * (pt if pt >= qt else qt))
         err = math.sqrt((rl * rl + rm * rm + rn * rn + rg * rg + rt * rt) / 5.0)
         if err > 1.0:  # reject
             nreject += 1
@@ -586,7 +609,7 @@ def integrate(
         scale, clock = scale1, exp(-ell1)
         k1l, k1m, k1n, g1 = k7l, k7m, k7n, g7  # first-same-as-last
 
-        if max(abs(y1l), abs(y1m), abs(y1n)) > blowup_norm:
+        if abs(y1l) > blowup_norm or abs(y1m) > blowup_norm or abs(y1n) > blowup_norm:
             terminal = TerminalStatus(BLOWUP, t_est=t, norm_exceeded=True)
             break
         if t >= t_end:
@@ -597,16 +620,21 @@ def integrate(
             factor = _FAC_MAX
         else:
             factor = _SAFETY * err ** -_ALPHA * err_prev ** _BETA
-        h *= min(_FAC_MAX, max(_FAC_MIN, factor))
-        err_prev = max(err, 1e-10)
+        # the factor clamped to [_FAC_MIN, _FAC_MAX] and err floored at
+        # 1e-10, as conditional expressions like the error norm's maxima
+        h *= _FAC_MAX if factor >= _FAC_MAX else factor if factor > _FAC_MIN else _FAC_MIN
+        err_prev = err if err >= 1e-10 else 1e-10
     else:
         terminal = TerminalStatus(STEP_LIMIT)
 
-    times_a = np.array(times)
-    states_a = np.array(states).reshape(-1, 3)
-    stages_a = np.array(stages).reshape(-1, 6, 5)
+    # np.fromiter with the length given reads a list of floats in half the
+    # time of np.array
+    times_a = np.fromiter(times, float, len(times))
+    states_a = np.fromiter(states, float, len(states)).reshape(-1, 3)
+    stages_a = np.fromiter(stages, float, len(stages)).reshape(-1, 6, 5)
     stages.clear()  # release the float objects before the weights are formed
-    dense_a = _dense_weights(np.array(starts).reshape(-1, 5), np.array(hs), stages_a)
+    dense_a = _dense_weights(np.fromiter(starts, float, len(starts)).reshape(-1, 5),
+                             np.fromiter(hs, float, len(hs)), stages_a)
     for a in (times_a, states_a, dense_a):
         a.setflags(write=False)
     recs: list[EventRecord] = []

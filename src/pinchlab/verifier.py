@@ -49,7 +49,7 @@ import numpy as np
 from . import pinch_functions
 from .cone_sets import SetKind, SetSpec, margin_array, sample_set
 from .eigen_ode import EigenTriple, FlowParams, rhs_array
-from .errors import DomainError, EmptyRegion, HypothesisViolated
+from .errors import DomainError, EmptyRegion, HypothesisViolated, _require_integer
 from .integrator import BLOWUP, IntegratorConfig, Trajectory, integrate
 from .pinch_functions import (
     EstimateVariant,
@@ -232,14 +232,6 @@ def _margin_for(kind: InequalityKind, lam, mu, nu, params: FlowParams):
     dl, dm, dn = rhs_array(lam, mu, nu, rho)
     trace = lam + mu + nu
     return (dl + dm + dn) - (4.0 / 3.0) * (1.0 - 3.0 * rho) * trace * trace
-
-
-def _require_integer(name: str, value) -> None:
-    """Raise TypeError naming ``name`` unless ``value`` is an integer
-    (bools excluded); range() and linspace would refuse a float later,
-    naming no argument."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise TypeError(f"{name} must be an integer, got {value!r}")
 
 
 def validate_tol(tol: float) -> None:
@@ -468,8 +460,9 @@ def check_invariance(
     Such runs, and parameter sets outside the established claims, are
     flagged claimed=False: observations, not verdicts.
     """
-    if horizon <= 0:
+    if not horizon > 0:  # NaN too
         raise ValueError("horizon must be positive")
+    _require_integer("samples", samples)
     if samples <= 0:
         raise ValueError("samples must be positive")
     validate_tol(tol)
@@ -637,6 +630,7 @@ def estimate_suite(
     the remaining lifetime.
     """
     validate_variant_params(variant, params)
+    _require_integer("count", count)
     if count <= 0:
         raise ValueError("count must be positive")
     validate_tol(tol)
@@ -796,6 +790,7 @@ def deriv_suite(
     worst_trajectory is the spawn index of the trajectory with the
     largest discrepancy at h (None if none is positive), and checkpoints
     counts the central-difference points behind the verdict."""
+    _require_integer("trajectories", trajectories)
     if trajectories <= 0:
         raise ValueError("trajectories must be positive")
     states = _deriv_initial_states(quantity, trajectories, seed)

@@ -415,7 +415,8 @@ BAD_CONFIGS = {
     "not JSON": ("{", "error: config {cfg} is not valid JSON: "),
     "not an object": ("[1]", "error: config {cfg} must be a JSON object\n"),
     "section not an object": ('{"params": 3}', "error: config section 'params' must be an object\n"),
-    "format": ('{"output": {"format": "csv"}}', "error: --format must be json or text, got 'csv'\n"),
+    "format": ('{"output": {"format": "csv"}}',
+               "error: config value output.format must be json or text, got 'csv'\n"),
 }
 
 
@@ -432,6 +433,17 @@ def test_bad_config_is_usage_error(case, tmp_path, capsys):
     assert err.startswith(message.format(cfg=cfg))
     assert err.endswith("\n") and err.count("\n") == 1
     assert not out.exists()
+
+
+def test_bad_config_format_is_refused_before_the_run(tmp_path, capsys, monkeypatch):
+    calls = []
+    monkeypatch.setattr(pinchlab.verifier, "integrate", lambda *a, **k: calls.append(a))
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text('{"output": {"format": "csv"}}')
+    assert run(["verify-set", "--config", cfg, "--set", "X", "--rho", "-1",
+                "--samples", "3"]) == 2
+    assert capsys.readouterr().err.startswith("error: config value output.format")
+    assert calls == []
 
 
 WRONG_TYPES = {

@@ -375,6 +375,13 @@ def test_sample_set_refuses_zero_count(monkeypatch):
         sample_set(SPEC_X, 0.0, 0, seed=0)
 
 
+@pytest.mark.parametrize("count", [2.5, 2.0, True])
+def test_sample_set_refuses_non_integer_count(count, monkeypatch):
+    monkeypatch.setattr(cone_sets, "margin_array", None)
+    with pytest.raises(TypeError, match=f"^count must be an integer, got {count!r}$"):
+        sample_set(SPEC_X, 0.0, count, seed=0)
+
+
 def test_sampler_is_reproducible():
     a = sample_set(SPEC_X, 0.0, 6, seed=7)
     b = sample_set(SPEC_X, 0.0, 6, seed=7)

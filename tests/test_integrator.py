@@ -20,8 +20,10 @@ from pinchlab import (
     isotropic_solution,
     standard_trigger_events,
 )
+from pinchlab import integrator
 from pinchlab.cone_sets import SetKind, SetSpec, sample_set
-from pinchlab.integrator import TerminalStatus
+from pinchlab.eigen_ode import rhs_array
+from pinchlab.integrator import TerminalStatus, _projected
 from pinchlab.pinch_functions import EstimateVariant
 from pinchlab.verifier import _estimate_initial_states
 
@@ -46,6 +48,23 @@ def _reference(y0, params, ts):
     sol = solve_ivp(_field(params.rho), (0.0, ts[-1]), list(y0), method="DOP853",
                     rtol=1e-13, atol=1e-15, t_eval=ts)
     return sol.y.T
+
+
+def test_projected_field_is_rhs_array_projected():
+    # _projected writes the reaction field out itself; it must give the
+    # bits of eigen_ode.rhs_array followed by the projection
+    rng = np.random.default_rng(5)
+    for rho in (-2.0, -0.5, 0.0, 0.1, 0.24):
+        for scale in 10.0 ** np.arange(-150, 151, 25):
+            for l, m, n in rng.standard_normal((20, 3)) * scale:
+                l, m, n = float(l), float(m), float(n)
+                fl, fm, fn = rhs_array(l, m, n, rho)
+                g = (l * fl + m * fm + n * fn) / (l * l + m * m + n * n)
+                want = (fl - g * l, fm - g * m, fn - g * n, g)
+                assert [x.hex() for x in _projected(l, m, n, rho)] == [x.hex() for x in want]
+    # the stepper rejects a step whose stage lands on the origin by this
+    with pytest.raises(ZeroDivisionError):
+        _projected(0.0, 0.0, 0.0, 0.1)
 
 
 def test_config_validation():
@@ -149,17 +168,35 @@ BATCH_TRAJECTORIES = (
     st.sampled_from(range(len(BATCH_TRAJECTORIES))),
     st.lists(st.floats(min_value=0.0, max_value=1.0), min_size=1, max_size=40),
     st.lists(st.integers(min_value=0), max_size=5),
+    st.randoms(use_true_random=False),
 )
-def test_eval_many_batch_equals_one_point_calls(which, fractions, nodes):
+def test_eval_many_batch_equals_one_point_calls(which, fractions, nodes, rng):
     traj = BATCH_TRAJECTORIES[which]
     t0, t1 = traj.t_start, traj.t_last
     ts = [min(t0 + f * (t1 - t0), t1) for f in fractions]
     ts += [float(traj.times[k % len(traj.times)]) for k in nodes]
+    rng.shuffle(ts)
     batch = traj.eval_many(np.array(ts))
     for t, row in zip(ts, batch):
         assert row.tobytes() == traj.eval_many(np.array([t]))[0].tobytes()
         assert row.tobytes() == traj.eval_many(t).tobytes()
         assert traj.eval_at(t) == EigenTriple.sorted_from(*row)
+
+
+def test_eval_many_reads_nodes_without_the_clock_inversion(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a node entered the clock inversion")
+
+    monkeypatch.setattr(integrator, "_sigma_at", refuse)
+    for traj in BATCH_TRAJECTORIES:
+        nodes = traj.times[::-1].copy()
+        rows = traj.eval_many(nodes)
+        assert rows.tobytes() == traj.states_array[::-1].tobytes()
+        assert traj.eval_many(nodes[0]).tobytes() == traj.states_array[-1].tobytes()
+        # a fresh array: writing to it leaves the trajectory as it was
+        before = traj.states_array.tobytes()
+        rows[:] = -1.0
+        assert traj.states_array.tobytes() == before
 
 
 def test_eigenvalue_order_preserved_along_flow():
@@ -487,6 +524,41 @@ def test_matches_scipy_in_t_time():
         ts = np.linspace(0.0, 0.99 * traj.t_last, 50)
         want = _reference(y0, params, ts)
         assert np.all(np.abs(traj.eval_many(ts) - want) <= 1e-8 * (1.0 + np.abs(want)))
+
+
+def _digest_lanes():
+    """Band starts of X, W, Y, K and the K negative control, seeded random
+    starts and the zero, 1e-301 and isotropic states, each under five
+    configs without events and under one with the trigger events."""
+    specs = REGIONS + (SetSpec(SetKind.SECTIONAL_LOG, FlowParams(rho=-0.5, eta=1.0)),)
+    starts = [(s, spec.params, 0.05) for spec in specs
+              for s in sample_set(spec, 0.0, 16, 3, band=1e-6)]
+    rng = np.random.default_rng(23)
+    for _ in range(24):
+        y = rng.standard_normal(3) * 10.0 ** rng.uniform(-2.0, 2.0)
+        starts.append((EigenTriple.sorted_from(*y), FlowParams(rho=rng.uniform(-2.0, 0.2)), 0.5))
+    starts += [(EigenTriple(0.0, 0.0, 0.0), P1, 1.0), (EigenTriple(1e-301, 0.0, -1e-301), P0, 1.0),
+               (EigenTriple(1.0, 1.0, 1.0), P1, 1.0), (EigenTriple(-2.0, -2.0, -2.0), P0, 1.0)]
+    configs = (None, IntegratorConfig(max_steps=40), IntegratorConfig(max_step=0.01),
+               IntegratorConfig(rel_tol=1e-6), IntegratorConfig(blowup_norm=1e300))
+    for i, (start, params, t_end) in enumerate(starts):
+        for cfg in configs:
+            yield start, params, t_end, cfg, ()
+        yield start, params, t_end, configs[i % len(configs)], standard_trigger_events(params)
+
+
+def test_many_lanes_are_bit_identical_to_digest():
+    # 648 lanes ending in all three ways, with rejections, retries and
+    # events; PINNED names seven cases, this one hash covers the rest
+    digest = hashlib.sha256()
+    for start, params, t_end, cfg, events in _digest_lanes():
+        traj = integrate(start, params, 0.0, t_end, cfg, events)
+        for a in (traj.times, traj.states_array, traj.dense):
+            digest.update(a.tobytes())
+        digest.update(repr((traj.terminal, traj.events, traj.stats)).encode())
+    assert digest.hexdigest() == (
+        "3afe7b69beb2cf770c6de17bc4528f9e0e1f446a3dce2ee6965e63a9c9cff676"
+    )
 
 
 @pytest.mark.parametrize("c0,rho", [(1.0, 0.0), (1.0, -1.0), (2.0, 0.1), (-1.0, 0.0)])

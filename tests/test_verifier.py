@@ -417,6 +417,7 @@ def test_invariance_small_run():
     ({"horizon": -0.05}, "horizon must be positive"),
     ({"samples": 0}, "samples must be positive"),
     ({"samples": -3}, "samples must be positive"),
+    ({"horizon": math.nan}, "horizon must be positive"),
 ])
 def test_invariance_refuses_a_run_that_checks_nothing(kwargs, message, monkeypatch):
     # refused before a state is drawn
@@ -424,6 +425,14 @@ def test_invariance_refuses_a_run_that_checks_nothing(kwargs, message, monkeypat
     run = {"samples": 4, "horizon": 0.05, **kwargs}
     with pytest.raises(ValueError, match=f"^{message}$"):
         check_invariance(SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), seed=0, **run)
+
+
+@pytest.mark.parametrize("samples", [2.0, True])
+def test_invariance_refuses_non_integer_samples_by_name(samples, monkeypatch):
+    monkeypatch.setattr(verifier, "sample_set", None)
+    with pytest.raises(TypeError, match=f"^samples must be an integer, got {samples!r}$"):
+        check_invariance(SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), samples=samples,
+                         horizon=0.05, seed=0)
 
 
 def test_invariance_is_order_independent():
@@ -592,6 +601,13 @@ EMPTY_RUNS = {
 @pytest.mark.parametrize("n", [0, -3])
 def test_suites_reject_runs_that_check_nothing(argument, n):
     with pytest.raises(ValueError, match=f"^{argument} must be positive$"):
+        EMPTY_RUNS[argument](n)
+
+
+@pytest.mark.parametrize("argument", list(EMPTY_RUNS))
+@pytest.mark.parametrize("n", [2.0, True])
+def test_suites_refuse_non_integer_counts_by_name(argument, n):
+    with pytest.raises(TypeError, match=f"^{argument} must be an integer, got {n!r}$"):
         EMPTY_RUNS[argument](n)
 
 
