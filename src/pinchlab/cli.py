@@ -73,12 +73,13 @@ def _tokens(kind: type[Enum]) -> str:
     return ", ".join(m.value for m in kind)
 
 
-def _cast(section: str, key: str, value, cast):
+def _cast(section: str, key: str, value, cast, flag: str | None = None):
     """``value`` read as ``cast``: int, float, bool, str or an Enum whose
     values are the option's tokens.  Flags arrive typed but config values
     do not, so a value of the wrong type is a usage error that names its
-    key: an int takes a JSON integer only, a float any JSON number but
-    NaN (flags too)."""
+    key: an int takes a JSON integer only, a float any JSON number.  A
+    NaN is refused from a flag too, naming ``flag``, the flag the value
+    came from (None for a config value)."""
     if issubclass(cast, Enum):
         try:
             return cast(value)
@@ -89,7 +90,9 @@ def _cast(section: str, key: str, value, cast):
             ) from None
     if cast in (bool, str) and isinstance(value, cast):
         return value
-    if cast is float and isinstance(value, float) and not math.isnan(value):
+    if cast is float and isinstance(value, float):
+        if math.isnan(value):
+            raise _UsageError(f"{flag or f'config value {section}.{key}'} must not be NaN")
         return value
     if cast in (int, float) and isinstance(value, int) and not isinstance(value, bool):
         try:
@@ -603,6 +606,7 @@ def _resolve(args: argparse.Namespace, config: dict, opts: tuple[_Opt, ...]) -> 
     values: dict = {section: {} for section in _CONFIG_SECTIONS}
     for opt in sorted(opts, key=lambda o: _CONFIG_SECTIONS.index(o.section)):
         v = getattr(args, opt.key)
+        flag = None if v is None else opt.flag_name
         if v is None:
             v = config.get(opt.section, {}).get(opt.key)
         if v is None:
@@ -611,7 +615,7 @@ def _resolve(args: argparse.Namespace, config: dict, opts: tuple[_Opt, ...]) -> 
             raise _UsageError(f"missing required option {opt.flag_name}")
         if v is None:
             continue
-        v = _cast(opt.section, opt.key, v, opt.cast)
+        v = _cast(opt.section, opt.key, v, opt.cast, flag)
         choices = (opt.kw or {}).get("choices")
         if choices is not None and v not in choices:
             raise _UsageError(
@@ -654,10 +658,48 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reads_as_numbers(token: str) -> bool:
+    """Whether ``token`` is a number or a comma list of numbers."""
+    try:
+        for part in token.split(","):
+            float(part)
+    except ValueError:
+        return False
+    return True
+
+
+def _join_number_values(argv: list[str]) -> list[str]:
+    """``argv`` with each token that starts with '-' and reads as numbers
+    joined to the flag before it, as ``--flag=value``, when that flag
+    names or abbreviates an option of the subcommand that takes a value.
+
+    argparse reads -1 and -1.5 as values but -1e-3, -1E-1 and -1,-2,-3 as
+    flags, so ``--rho -1e-3`` would lose its value; joined, it reads as
+    ``--rho=-1e-3`` does.  A token that does not read as numbers, such
+    as ``--out``, is left as it is, and a flag before it still misses
+    its value.
+    """
+    command = next((a for a in argv if a in _SUBCOMMANDS), None)
+    if command is None:
+        return argv
+    flags = ["--config", *(o.flag_name for o in _SUBCOMMANDS[command].opts
+                           if "action" not in (o.kw or {}))]
+    out: list[str] = []
+    for token in argv:
+        prev = out[-1] if out else ""
+        if (token.startswith("-") and _reads_as_numbers(token)
+                and len(prev) > 2 and prev.startswith("--") and "=" not in prev
+                and any(f.startswith(prev) for f in flags)):
+            out[-1] = f"{prev}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = parser.parse_args(_join_number_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 on --help
         return int(exc.code or 0)

@@ -8,9 +8,10 @@ Four instruments:
   over the sup-norm unit slice of each claim's cone, or over random
   ordered states for the trace comparison.  Both modes feed one
   reduction loop over blocks of about 2^16 points, the package's one
-  block size ``pinch_functions._BLOCK`` (runs of grid rows, or runs of
-  draws), so a scan's memory stays bounded at any resolution or sample
-  count and its temporaries stay in cache.
+  block size ``pinch_functions._BLOCK`` (runs of whole grid rows, each
+  row's region points one run of columns, or runs of draws), so a
+  scan's memory stays bounded at any resolution or sample count and its
+  temporaries stay in cache.
 * ``check_invariance`` — samples states in a thin band along a region's
   boundary, pushes each through the flow, and re-evaluates membership
   at dense checkpoints (with the membership clock advancing along the
@@ -130,6 +131,45 @@ class ScanReport:
     injected_max_abs_margin: float | None = None
 
 
+def _region_tests(kind: InequalityKind, lam, mu, nu):
+    """The region tests of ``kind`` at face points, and the slack terms
+    whose minimum is the point's distance to the region's boundary.
+
+    A rounded sum is monotone in each operand and xs increases, so along
+    a face row each quantity below is monotone in the column: every test,
+    and every ``slack >= width``, holds on a prefix or on a suffix of the
+    row's columns.
+    """
+    trace = lam + mu + nu
+    ric = mu + nu
+    if kind is InequalityKind.J_NEG_TRACE:
+        return (trace <= 0, ric < 0), (-trace, -ric)
+    if kind is InequalityKind.J_NONNEG_TRACE:
+        return (trace >= 0, ric < 0), (trace, -ric)
+    if kind is InequalityKind.I_POLY:
+        return (nu < 0,), (-nu,)
+    if kind is InequalityKind.XI_PRIME:
+        return (ric >= 0, nu < 0), (ric, -nu)
+    return (), ()  # every ordered state is in the trace-bound region
+
+
+def _true_run(test, n):
+    """Each row's run ``lo <= c < hi`` of the columns ``0 .. n - 1`` where
+    ``test`` holds, for a test that holds on a prefix or on a suffix of
+    every row (either may be empty or whole).  ``test(c)`` gets one
+    column per row; the end of the run of columns that agree with column
+    0 is found by bisection, in about log2(max n) calls."""
+    first = test(np.zeros_like(n))
+    last = np.zeros_like(n)  # each row's last column that agrees with column 0
+    step = 1 << (max(int(n.max()) - 1, 1).bit_length() - 1)
+    while step:  # the steps sum to at least max n - 1
+        c = last + step
+        last += step * ((c < n) & (test(np.minimum(c, n - 1)) == first))
+        step >>= 1
+    end = last + 1
+    return np.where(first, 0, end), np.where(first, end, n)
+
+
 def _grid_blocks(kind: InequalityKind, resolution: int):
     """The region's points of the sup-norm unit slice, a block at a time.
 
@@ -138,44 +178,54 @@ def _grid_blocks(kind: InequalityKind, resolution: int):
     if negative), so over xs = linspace(-1, 1, resolution) the slice is
     two square faces: face a is (1, xs[r], xs[c]) and face b is
     (xs[r], xs[c], -1) without its last row, the edge lam = 1, nu = -1
-    that face a holds.  Both keep c <= r.  A block is a run of rows of
-    one face; it yields the ``lam, mu, nu`` columns of its points inside
-    the region and how many of them lie within 2/resolution of the
-    region's boundary.  The face's constant coordinate (lam = 1 on face
-    a, nu = -1 on face b) is a zero-stride view of the float: no column
-    of it is gathered, and every column still holds one entry per point.
+    that face a holds.  Both keep c <= r.
+
+    Each region test holds on a prefix or a suffix of a row's columns, so
+    a row's region points are one run of columns, bounded by bisection
+    over all rows of a face at once with ``_true_run``; the points within
+    2/resolution of the region's boundary are the run less one inner run,
+    bounded alike.  A block is a run of whole rows of one face, cut where
+    the face's running point count passes a multiple of
+    ``pinch_functions._BLOCK``; it yields the ``lam, mu, nu`` columns of
+    its points, row by row, and its near-boundary count.  The face's
+    constant coordinate (lam = 1 on face a, nu = -1 on face b) is a
+    zero-stride view of the float: every column holds one entry per
+    point, and no point outside the region is built.
     """
     xs = np.linspace(-1.0, 1.0, resolution)
-    step = max(1, pinch_functions._BLOCK // resolution)
+    width = 2.0 / resolution
     for face_a, face_rows in ((True, resolution), (False, resolution - 1)):
-        for r0 in range(0, face_rows, step):
-            r1 = min(r0 + step, face_rows)
-            keep = np.arange(r1) <= np.arange(r0, r1)[:, None]
-            rows, cols = xs[r0:r1, None], xs[None, :r1]
-            lam, mu, nu = (1.0, rows, cols) if face_a else (rows, cols, -1.0)
-            trace = lam + mu + nu
-            ric = mu + nu
-            slack = None
-            if kind is InequalityKind.J_NEG_TRACE:
-                keep &= (trace <= 0) & (ric < 0)
-                slack = np.minimum(-trace, -ric)
-            elif kind is InequalityKind.J_NONNEG_TRACE:
-                keep &= (trace >= 0) & (ric < 0)
-                slack = np.minimum(trace, -ric)
-            elif kind is InequalityKind.I_POLY:
-                keep &= nu < 0
-                slack = -nu
-            elif kind is InequalityKind.XI_PRIME:
-                keep &= (ric >= 0) & (nu < 0)
-                slack = np.minimum(ric, -nu)
-            if not keep.any():
+        row_xs = xs[:face_rows]
+        n = np.arange(1, face_rows + 1)  # row r holds the columns c <= r
+
+        def tests(c):
+            return _region_tests(kind, *((1.0, row_xs, xs[c]) if face_a else (row_xs, xs[c], -1.0)))
+
+        tests_inside, slacks = map(len, tests(n - 1))
+        lo, hi = np.zeros_like(n), n
+        for i in range(tests_inside):
+            a, b = _true_run(lambda c: tests(c)[0][i], n)
+            lo, hi = np.maximum(lo, a), np.minimum(hi, b)
+        hi = np.maximum(hi, lo)
+        far_lo, far_hi = lo, hi  # the run's points no slack term puts near
+        for i in range(slacks):
+            a, b = _true_run(lambda c: tests(c)[1][i] >= width, n)
+            far_lo, far_hi = np.maximum(far_lo, a), np.minimum(far_hi, b)
+        counts = hi - lo
+        near = counts - np.maximum(far_hi - far_lo, 0)
+        # a row joins the block its last point falls in; rows before the
+        # face's first point fall in none
+        block = (np.cumsum(counts) - 1) // pinch_functions._BLOCK
+        cuts = [0, *(np.flatnonzero(np.diff(block)) + 1).tolist(), face_rows]
+        starts, ends = lo.tolist(), hi.tolist()
+        for r0, r1 in zip(cuts, cuts[1:]):
+            if block[r0] < 0:
                 continue
-            near = 0
-            if slack is not None:  # every ordered state is in the trace-bound region
-                near = int((np.broadcast_to(slack, keep.shape)[keep] < 2.0 / resolution).sum())
-            rows, cols = (np.broadcast_to(v, keep.shape)[keep] for v in (rows, cols))
-            const = np.broadcast_to(lam if face_a else nu, rows.shape)
-            yield (const, rows, cols, near) if face_a else (rows, cols, const, near)
+            cols = np.concatenate([xs[a:b] for a, b in zip(starts[r0:r1], ends[r0:r1])])
+            rows = np.repeat(row_xs[r0:r1], counts[r0:r1])
+            const = np.broadcast_to(1.0 if face_a else -1.0, rows.shape)
+            near_block = int(near[r0:r1].sum())
+            yield (const, rows, cols, near_block) if face_a else (rows, cols, const, near_block)
 
 
 _ISO_INJECT = (1.0, -1.0, 0.5, -2.0, 3.25)
@@ -265,6 +315,12 @@ def scan_inequality(
     injected isotropic states where the margin must vanish identically.
     The report holds ``resolution`` only in grid mode, where the verdict
     read it; random mode neither reads nor checks it.
+
+    Grid points are generated without a mask: each region test is
+    monotone along a grid row, so a row's region points are one run of
+    columns, whose ends (and the near-boundary count) are found by
+    bisection over all rows at once; only the region's points are built,
+    in O(points + rows * log resolution) work.
 
     Points are generated and reduced a block at a time: each block adds
     its violation and near-boundary counts and keeps the points tied at

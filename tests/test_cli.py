@@ -468,19 +468,19 @@ def test_wrong_config_type_is_usage_error(tmp_path, capsys, key):
 
 
 # an int takes a JSON integer only and a float a JSON number only: no
-# truncation, no parsing of strings
+# truncation, no parsing of strings, no NaN
 LOOSE_NUMBERS = {
-    "fraction for an int": ("command.resolution", 40.7, "40.7"),
-    "whole float for an int": ("command.resolution", 40.0, "40.0"),
-    "string for an int": ("command.resolution", "40", "'40'"),
-    "string for a float": ("params.rho", "-1", "'-1'"),
-    "NaN for a float": ("command.tol", math.nan, "nan"),
+    "fraction for an int": ("command.resolution", 40.7, "must be int, got 40.7"),
+    "whole float for an int": ("command.resolution", 40.0, "must be int, got 40.0"),
+    "string for an int": ("command.resolution", "40", "must be int, got '40'"),
+    "string for a float": ("params.rho", "-1", "must be float, got '-1'"),
+    "NaN for a float": ("command.tol", math.nan, "must not be NaN"),
 }
 
 
 @pytest.mark.parametrize("case", list(LOOSE_NUMBERS))
 def test_config_numbers_are_not_cast_loosely(case, tmp_path, capsys):
-    key, value, shown = LOOSE_NUMBERS[case]
+    key, value, refusal = LOOSE_NUMBERS[case]
     section, name = key.split(".")
     config = {"params": {"rho": -1}, "command": {"kind": "j-neg-trace"},
               "output": {"out": str(tmp_path / "never.json")}}
@@ -488,21 +488,20 @@ def test_config_numbers_are_not_cast_loosely(case, tmp_path, capsys):
     cfg = tmp_path / "loose.json"
     cfg.write_text(json.dumps(config))
     assert run(["scan", "--config", cfg]) == 2
-    cast = "int" if name == "resolution" else "float"
-    assert capsys.readouterr().err == f"error: config value {key} must be {cast}, got {shown}\n"
+    assert capsys.readouterr().err == f"error: config value {key} {refusal}\n"
     assert not (tmp_path / "never.json").exists()
 
 
 NAN_FLAGS = {
     "command.tol": (["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1",
                      "--trajectories", "2", "--tol", "nan"],
-                    "error: config value command.tol must be float, got nan\n"),
+                    "error: --tol must not be NaN\n"),
     # a NaN scan time once broke the scan's argmin; the flag is gone
     "command.scan_times": (["scan", "--kind", "xi-prime", "--rho", "-0.5", "--eta", "1",
                             "--scan-time", "nan"],
                            unrecognized("--scan-time nan")),
     "params.rho": (["scan", "--kind", "j-neg-trace", "--rho", "nan"],
-                   "error: config value params.rho must be float, got nan\n"),
+                   "error: --rho must not be NaN\n"),
 }
 
 
@@ -513,6 +512,36 @@ def test_nan_flag_is_usage_error(key, tmp_path, capsys):
     assert run(args + ["--out", tmp_path / "never.json"]) == 2
     assert capsys.readouterr().err == err
     assert not (tmp_path / "never.json").exists()
+
+
+# argparse alone reads -1e-3 and -0.5,-1,-2 as flags, not as values
+NEGATIVE_VALUES = {
+    "exponent": (["scan", "--kind", "j-neg-trace", "--resolution", "30"], "--rho", "-1e-3"),
+    "capital exponent": (["scan", "--kind", "j-neg-trace", "--resolution", "30"],
+                         "--rho", "-1E-1"),
+    "no leading digit": (["scan", "--kind", "j-neg-trace", "--resolution", "30"],
+                         "--rho", "-.5"),
+    "abbreviated flag": (["scan", "--kind", "j-neg-trace", "--resolution", "30"],
+                         "--rh", "-1e-3"),
+    "list": (["simulate", "--rho", "-0.01", "--t-end", "0.01", "--points", "5"],
+             "--state", "-0.5,-1,-2"),
+}
+
+
+@pytest.mark.parametrize("case", list(NEGATIVE_VALUES))
+def test_negative_values_read_as_with_equals(case, tmp_path):
+    args, flag, value = NEGATIVE_VALUES[case]
+    out = {form: tmp_path / f"{form}.out" for form in ("apart", "joined")}
+    assert run(args + [flag, value, "--out", out["apart"]]) == 0
+    assert run(args + [f"{flag}={value}", "--out", out["joined"]]) == 0
+    assert out["apart"].read_bytes() == out["joined"].read_bytes()
+
+
+def test_flag_before_a_flag_still_misses_its_value(tmp_path, capsys):
+    out = tmp_path / "never.json"
+    assert run(["scan", "--kind", "j-neg-trace", "--rho", "--out", out]) == 2
+    assert capsys.readouterr().err.endswith("error: argument --rho: expected one argument\n")
+    assert not out.exists()
 
 
 # -------------------------------------------------------- output mechanics

@@ -1,6 +1,7 @@
 import dataclasses
 import hashlib
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -175,6 +176,123 @@ def test_scan_reports_do_not_depend_on_the_block_size(monkeypatch):
     default = reports()
     monkeypatch.setattr(pinch_functions, "_BLOCK", 7)
     assert reports() == default
+
+
+def masked_grid_blocks(kind, resolution):
+    """The reference generator: every cell of the triangle c <= r in a
+    block of rows, masked by the region tests.  ``_grid_blocks`` must
+    yield the same points in the same order and the same near count."""
+    xs = np.linspace(-1.0, 1.0, resolution)
+    step = max(1, pinch_functions._BLOCK // resolution)
+    for face_a, face_rows in ((True, resolution), (False, resolution - 1)):
+        for r0 in range(0, face_rows, step):
+            r1 = min(r0 + step, face_rows)
+            keep = np.arange(r1) <= np.arange(r0, r1)[:, None]
+            rows, cols = xs[r0:r1, None], xs[None, :r1]
+            lam, mu, nu = (1.0, rows, cols) if face_a else (rows, cols, -1.0)
+            trace = lam + mu + nu
+            ric = mu + nu
+            slack = None
+            if kind is InequalityKind.J_NEG_TRACE:
+                keep &= (trace <= 0) & (ric < 0)
+                slack = np.minimum(-trace, -ric)
+            elif kind is InequalityKind.J_NONNEG_TRACE:
+                keep &= (trace >= 0) & (ric < 0)
+                slack = np.minimum(trace, -ric)
+            elif kind is InequalityKind.I_POLY:
+                keep &= nu < 0
+                slack = -nu
+            elif kind is InequalityKind.XI_PRIME:
+                keep &= (ric >= 0) & (nu < 0)
+                slack = np.minimum(ric, -nu)
+            if not keep.any():
+                continue
+            near = 0
+            if slack is not None:
+                near = int((np.broadcast_to(slack, keep.shape)[keep] < 2.0 / resolution).sum())
+            rows, cols = (np.broadcast_to(v, keep.shape)[keep] for v in (rows, cols))
+            const = np.broadcast_to(lam if face_a else nu, rows.shape)
+            yield (const, rows, cols, near) if face_a else (rows, cols, const, near)
+
+
+def grid_points(blocks):
+    """A generator's ``lam, mu, nu`` columns joined over its blocks, and
+    its near-boundary count; every column of a block holds one entry per
+    point."""
+    columns, near = [[], [], []], 0
+    for *block, near_block in blocks:
+        assert len({v.shape for v in block}) == 1
+        for column, v in zip(columns, block):
+            column.append(v)
+        near += near_block
+    return [np.concatenate(c) if c else np.empty(0) for c in columns], near
+
+
+def test_grid_points_equal_the_masked_reference(monkeypatch):
+    cases = [(kind, res) for kind in InequalityKind for res in range(2, 65)]
+    cases += [(kind, 1500) for kind in InequalityKind]
+    expected = {case: grid_points(masked_grid_blocks(*case)) for case in cases}
+    for block in (pinch_functions._BLOCK, 7):
+        monkeypatch.setattr(pinch_functions, "_BLOCK", block)
+        for case in cases:
+            if block == 7 and case[1] == 1500:
+                continue
+            (columns, near), (want, want_near) = grid_points(verifier._grid_blocks(*case)), expected[case]
+            assert all(np.array_equal(a, b) for a, b in zip(columns, want)), (case, block)
+            assert near == want_near, (case, block)
+
+
+def test_grid_blocks_hold_whole_rows_of_about_one_block():
+    # a block passes _BLOCK points by less than one row, and only the
+    # last block of a face holds fewer than _BLOCK - resolution
+    resolution = 1500
+    for kind in InequalityKind:
+        sizes = [len(mu) for _, mu, _, _ in verifier._grid_blocks(kind, resolution)]
+        assert max(sizes) < pinch_functions._BLOCK + resolution
+        assert sum(size < pinch_functions._BLOCK - resolution for size in sizes) <= 2
+
+
+@pytest.mark.parametrize("n, holds, run", [
+    ([1, 5, 9], lambda c: np.zeros(len(c), bool), ([1, 5, 9], [1, 5, 9])),
+    ([1, 5, 9], lambda c: np.ones(len(c), bool), ([0, 0, 0], [1, 5, 9])),
+    ([1, 1], lambda c: np.array([True, False]), ([0, 1], [1, 1])),
+    ([4], lambda c: True, ([0], [4])),  # a test that does not depend on the point
+])
+def test_true_run_edges(n, holds, run):
+    lo, hi = verifier._true_run(holds, np.array(n))
+    assert (lo.tolist(), hi.tolist()) == run
+
+
+def test_true_run_finds_every_prefix_and_suffix():
+    n = np.repeat(np.arange(1, 40), np.arange(2, 41))  # each n with every bound 0 .. n
+    bound = np.concatenate([np.arange(k + 1) for k in range(1, 40)])
+    for holds in (lambda c: c < bound, lambda c: c >= bound):
+        lo, hi = verifier._true_run(holds, n)
+        for c in range(n.max()):
+            col = np.full_like(n, c)
+            assert np.array_equal(((lo <= c) & (c < hi))[c < n], holds(col)[c < n])
+
+
+def test_scan_memory_stays_a_few_blocks(monkeypatch):
+    # the second scan of each kind, after warm-up, above the memory
+    # before the call, in blocks of floats
+    scans = [(kind, SCAN_PARAMS[kind][0], {"resolution": 1500}) for kind in SCAN_PARAMS]
+    scans += [
+        (InequalityKind.TRACE_BOUND, P_NEG, {"resolution": 1500}),
+        (InequalityKind.TRACE_BOUND, P_NEG, {"samples": 1_000_000, "seed": 0}),
+    ]
+    block_bytes = 8 * pinch_functions._BLOCK
+    tracemalloc.start()
+    try:
+        for kind, params, kwargs in scans:
+            scan_inequality(kind, params, **kwargs)
+            tracemalloc.reset_peak()
+            before = tracemalloc.get_traced_memory()[0]
+            scan_inequality(kind, params, **kwargs)
+            peak = tracemalloc.get_traced_memory()[1] - before
+            assert peak < 16 * block_bytes, (kind, kwargs, peak / block_bytes)
+    finally:
+        tracemalloc.stop()
 
 
 def test_empty_region_is_an_error():
