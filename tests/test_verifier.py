@@ -242,7 +242,7 @@ def test_grid_points_equal_the_masked_reference(monkeypatch):
             assert near == want_near, (case, block)
 
 
-def test_grid_blocks_hold_whole_rows_of_about_one_block():
+def test_grid_blocks_hold_about_one_block_of_points():
     # a block passes _BLOCK points by less than one row, and only the
     # last block of a face holds fewer than _BLOCK - resolution
     resolution = 1500
