@@ -48,7 +48,8 @@ and y = e^l u at the accepted nodes.  ``eval_many`` finds the step that
 covers each time, solves t(sigma) = t on that step's clock by two
 guarded Newton steps from the sigma of an exponential clock, and returns
 e^l(sigma) u(sigma); a node's row is copied from ``states_array``
-without the clock inversion.
+without the clock inversion.  It is the one-lane case of ``_eval_lanes``,
+which reads a block of trajectories with one clock inversion.
 
 Terminal rules:
 
@@ -141,9 +142,9 @@ _P = (
     (0.0, -282668133 / 205662961, 2019193451 / 616988883, -1453857185 / 822651844),
     (0.0, 40617522 / 29380423, -110615467 / 29380423, 69997945 / 29380423),
 )
-# rows of _P for the stages with nonzero weights, each shaped (1, 4) to
-# broadcast against the (steps, 5, 1) derivatives of one stage
-_P_USED = np.array([_P[i] for i in (0, 2, 3, 4, 5, 6)])[:, None, :]
+# rows of _P for the stages with nonzero weights, k1 and k3..k7, each
+# shaped (4, 1) to broadcast against a row of one stage's derivatives
+_P_USED = np.array([_P[i] for i in (0, 2, 3, 4, 5, 6)])[:, :, None]
 
 _SAFETY = 0.9
 _ALPHA = 0.7 / 5.0  # PI proportional exponent
@@ -285,48 +286,74 @@ class Trajectory:
         return float(self.times[-1])
 
     def eval_many(self, ts) -> np.ndarray:
-        """Dense evaluation at an array of times, (len(ts), 3).
-
-        Stored nodes are copied bit-exact from ``states_array`` and skip
-        the clock inversion; an interior time is mapped to the fraction
-        sigma of its covering step at which the step's clock reaches
-        it, and evaluates to e^l(sigma) u(sigma).  Every
-        row depends on its own time only, so a batch gives the same
-        rows, bit for bit, as one call per time.  Times outside the
-        covered interval, including NaN and infinities, raise OutOfRange.
-        """
+        """Dense evaluation at an array of times, (len(ts), 3): the
+        one-lane case of ``_eval_lanes``, which gives its rules."""
         ts = np.asarray(ts, dtype=float)
-        flat = np.atleast_1d(ts)
-        # written so that NaN, for which every comparison is False, fails
-        if flat.size and not (
-            flat.min() >= self.times[0] and flat.max() <= self.times[-1]
-        ):
-            raise OutOfRange(
-                f"evaluation times must be finite and lie in "
-                f"[{self.times[0]}, {self.times[-1]}]"
-            )
-        # in range, so every time has a first node at or after it
-        k = np.searchsorted(self.times, flat)
-        if self.dense.shape[0] == 0:
-            # degenerate single-node trajectory: only t0 is in range
-            out = np.repeat(self.states_array[:1], flat.size, axis=0)
-            return out if ts.ndim else out[0]
-        # nodes keep their state, a fresh copy; only a time off the nodes,
-        # inside step k - 1, pays for the clock inversion
-        out = self.states_array[k]
-        off = np.flatnonzero(self.times[k] != flat)
-        if off.size:
-            step = k[off] - 1
-            # coefficient, component, point: every operand below is contiguous
-            c = np.ascontiguousarray(self.dense[step].transpose(2, 1, 0))
-            sig = _sigma_at(c, self.times[step], self.times[step + 1], flat[off])
-            y = _horner(c[:, :4], sig)
-            out[off] = (np.exp(y[3]) * y[:3]).T
-        return out if ts.ndim else out[0]
+        out = _eval_lanes([self], ts.ravel(), [ts.size])
+        return out if ts.ndim == 1 else out.reshape(*ts.shape, 3)
 
     def eval_at(self, t: float) -> EigenTriple:
         row = self.eval_many(np.asarray([float(t)]))[0]
         return EigenTriple.sorted_from(*row)
+
+
+_NO_STEP = np.zeros((1, 5, 5))
+
+
+def _joined(arrays: list) -> np.ndarray:
+    """The arrays end to end; a single array as it is."""
+    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
+
+
+def _eval_lanes(trajs: Sequence[Trajectory], ts, counts: Sequence[int]) -> np.ndarray:
+    """Dense evaluation of a block of trajectories, (len(ts), 3): ``ts``
+    holds ``counts[i]`` times of each ``trajs[i]`` in turn.
+
+    A stored node's row is copied from ``states_array``; any other time
+    is mapped to the sigma of its covering step at which the step's
+    clock reaches it, and evaluates to e^l(sigma) u(sigma), with one
+    clock inversion and one Horner pass for the whole block.  Each row
+    depends on its own lane and time only, so a block gives the rows,
+    bit for bit, of one call per lane or per time.  A time outside its
+    lane's covered interval, NaN and infinities included, raises
+    OutOfRange.
+    """
+    ts = np.asarray(ts, dtype=float)
+    ends, times, states, dense = [], [], [], []
+    stop = first = 0
+    for traj, n in zip(trajs, counts):
+        t, stop = ts[stop:stop + n], stop + n
+        # written so that NaN, for which every comparison is False, fails
+        if n and not (t.min() >= traj.times[0] and t.max() <= traj.times[-1]):
+            raise OutOfRange(
+                f"evaluation times must be finite and lie in "
+                f"[{traj.times[0]}, {traj.times[-1]}]"
+            )
+        # in range, so every time has a first node at or after it: its
+        # index among the block's nodes, lane after lane
+        k = traj.times.searchsorted(t)
+        ends.append(k + first if first else k)
+        first += len(traj.times)
+        times.append(traj.times)
+        states.append(traj.states_array)
+        # a lane has one step fewer than nodes: a row that no time reads
+        # after each lane's steps puts the step ending at node k in row k - 1
+        dense += (traj.dense, _NO_STEP)
+    end, times = _joined(ends), _joined(times)
+    # nodes keep their state, a fresh copy; only a time off the nodes,
+    # inside the step that ends at node ``end``, pays for the clock inversion
+    out = _joined(states)[end]
+    off = (times[end] != ts).nonzero()[0]
+    if off.size:
+        end = end[off]
+        step = end - 1
+        # coefficient, component, point: every operand below is
+        # contiguous, and the block's joined steps are let go at once
+        c = np.ascontiguousarray(_joined(dense[:-1])[step].transpose(2, 1, 0))
+        sig = _sigma_at(c, times[step], times[end], ts[off])
+        y = _horner(c[:, :4], sig)
+        out[off] = (np.exp(y[3]) * y[:3]).T
+    return out
 
 
 def _initial_step(u, f) -> float:
@@ -348,13 +375,17 @@ def _dense_weights(starts: np.ndarray, hs: np.ndarray, stages: np.ndarray) -> np
 
     The products are summed in stage order, so the weights of one step
     come out the same whether it is formed alone or in a batch of steps.
+    Each stage's derivatives are read as one contiguous row, and each
+    product broadcasts that row against the stage's four weights.
     """
-    q = stages[:, 0, :, None] * _P_USED[0]
+    s = np.ascontiguousarray(stages.transpose(1, 0, 2)).reshape(6, -1)
+    q = _P_USED[0] * s[0]
     for i in range(1, 6):
-        q += stages[:, i, :, None] * _P_USED[i]
+        q += _P_USED[i] * s[i]
+    q *= np.repeat(hs, 5)
     out = np.empty((len(hs), 5, 5))
     out[..., 0] = starts
-    out[..., 1:] = hs[:, None, None] * q
+    out[..., 1:] = q.reshape(4, -1, 5).transpose(1, 2, 0)
     return out
 
 

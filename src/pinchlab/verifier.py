@@ -35,7 +35,10 @@ the violation cutoff is scaled by max(1, sup-norm)^3.
 Each claim's parameter window (scan, region claim, estimate) is stated
 once, on ``FlowParams``; this module only applies it.  The ensemble loop
 of the three suites (integrate each seeded start, check it, sum the
-integrator's work) is written once, in ``_run_lanes``.
+integrator's work) is written once, in ``_run_lanes``, which hands the
+trajectories to the suite's reader a block at a time: the invariance and
+estimate readers make one dense evaluation and one margin or bound call
+per block, so a lane's check costs no fixed numpy overhead of its own.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ from . import pinch_functions
 from .cone_sets import SetKind, SetSpec, margin_array, sample_set
 from .eigen_ode import EigenTriple, FlowParams, rhs_array
 from .errors import DomainError, EmptyRegion, HypothesisViolated, _require_integer
-from .integrator import BLOWUP, IntegratorConfig, Trajectory, integrate
+from .integrator import BLOWUP, IntegratorConfig, Trajectory, _eval_lanes, integrate
 from .pinch_functions import (
     EstimateVariant,
     estimate_rhs_array,
@@ -131,25 +134,27 @@ class ScanReport:
     injected_max_abs_margin: float | None = None
 
 
-def _region_tests(kind: InequalityKind, lam, mu, nu):
-    """The region tests of ``kind`` at face points, and the slack terms
-    whose minimum is the point's distance to the region's boundary.
+def _region_tests(kind: InequalityKind):
+    """The region tests of ``kind``, and the slack terms whose minimum
+    is a point's distance to the region's boundary, each a function of
+    ``(lam, mu, nu)``, so that a caller evaluates only the one it reads.
 
     A rounded sum is monotone in each operand and xs increases, so along
     a face row each quantity below is monotone in the column: every test,
     and every ``slack >= width``, holds on a prefix or on a suffix of the
     row's columns.
     """
-    trace = lam + mu + nu
-    ric = mu + nu
     if kind is InequalityKind.J_NEG_TRACE:
-        return (trace <= 0, ric < 0), (-trace, -ric)
+        return ((lambda lam, mu, nu: lam + mu + nu <= 0, lambda lam, mu, nu: mu + nu < 0),
+                (lambda lam, mu, nu: -(lam + mu + nu), lambda lam, mu, nu: -(mu + nu)))
     if kind is InequalityKind.J_NONNEG_TRACE:
-        return (trace >= 0, ric < 0), (trace, -ric)
+        return ((lambda lam, mu, nu: lam + mu + nu >= 0, lambda lam, mu, nu: mu + nu < 0),
+                (lambda lam, mu, nu: lam + mu + nu, lambda lam, mu, nu: -(mu + nu)))
     if kind is InequalityKind.I_POLY:
-        return (nu < 0,), (-nu,)
+        return (lambda lam, mu, nu: nu < 0,), (lambda lam, mu, nu: -nu,)
     if kind is InequalityKind.XI_PRIME:
-        return (ric >= 0, nu < 0), (ric, -nu)
+        return ((lambda lam, mu, nu: mu + nu >= 0, lambda lam, mu, nu: nu < 0),
+                (lambda lam, mu, nu: mu + nu, lambda lam, mu, nu: -nu))
     return (), ()  # every ordered state is in the trace-bound region
 
 
@@ -198,18 +203,18 @@ def _grid_blocks(kind: InequalityKind, resolution: int):
         row_xs = xs[:face_rows]
         n = np.arange(1, face_rows + 1)  # row r holds the columns c <= r
 
-        def tests(c):
-            return _region_tests(kind, *((1.0, row_xs, xs[c]) if face_a else (row_xs, xs[c], -1.0)))
+        def point(c):
+            return (1.0, row_xs, xs[c]) if face_a else (row_xs, xs[c], -1.0)
 
-        tests_inside, slacks = map(len, tests(n - 1))
+        tests, slacks = _region_tests(kind)
         lo, hi = np.zeros_like(n), n
-        for i in range(tests_inside):
-            a, b = _true_run(lambda c: tests(c)[0][i], n)
+        for test in tests:
+            a, b = _true_run(lambda c: test(*point(c)), n)
             lo, hi = np.maximum(lo, a), np.minimum(hi, b)
         hi = np.maximum(hi, lo)
         far_lo, far_hi = lo, hi  # the run's points no slack term puts near
-        for i in range(slacks):
-            a, b = _true_run(lambda c: tests(c)[1][i] >= width, n)
+        for slack in slacks:
+            a, b = _true_run(lambda c: slack(*point(c)) >= width, n)
             far_lo, far_hi = np.maximum(far_lo, a), np.minimum(far_hi, b)
         counts = hi - lo
         near = counts - np.maximum(far_hi - far_lo, 0)
@@ -441,33 +446,56 @@ def invariance_is_claimed(spec: SetSpec) -> bool:
     return True
 
 
-def _checkpoint_times(traj: Trajectory, uniform: int = 129):
-    """A uniform grid over the covered interval plus every accepted node."""
-    t0, t1 = traj.t_start, traj.t_last
-    if t1 <= t0:
-        return np.asarray([t0])
-    return np.unique(np.concatenate([np.linspace(t0, t1, uniform), traj.times]))
+def _checkpoints(trajs: Sequence[Trajectory], uniform: int) -> tuple[np.ndarray, np.ndarray]:
+    """Each lane's checkpoints: a uniform grid of ``uniform`` times over
+    its covered interval and every accepted node, sorted and without
+    repeats, as np.unique gives them.  Returns the times of the block,
+    lane after lane, and each lane's count."""
+    t0s, t1s = np.array([(traj.t_start, traj.t_last) for traj in trajs]).T
+    grid = np.empty((len(trajs), uniform))
+    # one linspace for the block has each lane's bits, except where a
+    # step is 0 (a lane of one node), for which numpy takes another path
+    moving = (t1s - t0s) / (uniform - 1) != 0.0
+    grid[moving] = np.linspace(t0s[moving], t1s[moving], uniform, axis=1)
+    for i in np.flatnonzero(~moving):
+        grid[i] = np.linspace(t0s[i], t1s[i], uniform)
+    merged = [np.sort(np.concatenate([row, traj.times])) for row, traj in zip(grid, trajs)]
+    ts = np.concatenate(merged)
+    starts = np.cumsum([0, *map(len, merged[:-1])])
+    keep = np.empty(len(ts), dtype=bool)
+    np.not_equal(ts[1:], ts[:-1], out=keep[1:])
+    keep[starts] = True  # a lane's first time is no repeat of the lane before
+    return ts[keep], np.add.reduceat(keep, starts, dtype=np.intp)
 
 
 def _run_lanes(
     states: Sequence[EigenTriple], params: FlowParams, t_end: float,
-    config: IntegratorConfig | None, check: Callable[[Trajectory], object],
+    config: IntegratorConfig | None, read: Callable[[list[Trajectory]], list],
+    uniform: int,
 ) -> tuple[list, _Work]:
     """The ensemble loop of every suite: integrate each start over
-    [0, t_end] in start order and hand each trajectory to ``check``.
-    Returns the checks' results in start order and the integrator work
-    summed over the lanes."""
-    results = []
-    accepted = rejected = evals = 0
+    [0, t_end] in start order and hand the trajectories to ``read`` a
+    block at a time; it returns one result per lane.  A block is cut
+    where its checkpoints, at most ``uniform`` plus the nodes per lane,
+    pass ``pinch_functions._BLOCK``.  Returns the results in start order
+    and the integrator work summed over the lanes."""
+    results: list = []
+    block: list[Trajectory] = []
+    points = accepted = rejected = evals = 0
     kinds: dict[str, int] = {}
     for state in states:
         traj = integrate(state, params, 0.0, t_end, config)
-        results.append(check(traj))
         accepted += traj.stats["accepted"]
         rejected += traj.stats["rejected"]
         evals += traj.stats["rhs_evals"]
         kinds[traj.terminal.kind] = kinds.get(traj.terminal.kind, 0) + 1
-        del traj  # free each lane before the next one integrates
+        block.append(traj)
+        points += uniform + len(traj.times)
+        if points >= pinch_functions._BLOCK:
+            results += read(block)
+            block, points = [], 0
+    if block:
+        results += read(block)
     return results, _Work(accepted, rejected, evals, kinds)
 
 
@@ -481,15 +509,19 @@ def _worst_lane(scores: Sequence[float], tol: float) -> tuple[float, int | None]
     return worst, lane if worst < -tol else None
 
 
-def _drift(traj: Trajectory, recheck: SetSpec) -> tuple[float, int]:
-    """The lowest normalized membership margin of ``recheck`` along a
-    trajectory, and the number of checkpoints it was read at."""
-    ts = _checkpoint_times(traj)
-    rows = traj.eval_many(ts)
+_DRIFT_POINTS = 129  # uniform checkpoints per invariance lane
+
+
+def _read_drift(trajs: list[Trajectory], recheck: SetSpec) -> list[tuple[float, int]]:
+    """Each lane's lowest normalized membership margin of ``recheck``,
+    and the number of checkpoints it was read at: one dense evaluation
+    and one ``margin_array`` call for the block."""
+    ts, counts = _checkpoints(trajs, _DRIFT_POINTS)
+    rows = _eval_lanes(trajs, ts, counts)
     margins = margin_array(recheck, rows[:, 0], rows[:, 1], rows[:, 2], ts)
-    trace = rows.sum(axis=1)
-    drift = margins / (1.0 + np.abs(trace))
-    return float(drift.min()), len(ts)
+    drift = margins / (1.0 + np.abs(rows.sum(axis=1)))
+    lowest = np.minimum.reduceat(drift, np.cumsum(counts) - counts)
+    return list(zip(lowest.tolist(), counts.tolist()))
 
 
 def check_invariance(
@@ -526,7 +558,8 @@ def check_invariance(
     band = 100.0 * tol
     states = sample_set(spec, 0.0, samples, seed, band=band)
     lanes, work_done = _run_lanes(
-        states, spec.params, horizon, config, lambda traj: _drift(traj, eff_recheck)
+        states, spec.params, horizon, config,
+        lambda trajs: _read_drift(trajs, eff_recheck), _DRIFT_POINTS,
     )
     worst, violating = _worst_lane([drift for drift, _ in lanes], tol)
     return InvarianceReport(
@@ -585,12 +618,16 @@ def _hypothesis_ok(variant: EstimateVariant, row: np.ndarray) -> str | None:
     return None
 
 
+_ESTIMATE_POINTS = 257  # uniform checkpoints per estimate lane
+
+
 def check_estimate(
     traj: Trajectory,
     variant: EstimateVariant,
     params: FlowParams,
 ) -> EstimateReport:
-    """Assert the variant's curvature bound along one trajectory.
+    """Assert the variant's curvature bound along one trajectory: the
+    one-lane case of the block read of ``estimate_suite``.
 
     The initial state must satisfy the variant's hypothesis (checked,
     HypothesisViolated otherwise).  At every dense checkpoint where the
@@ -598,33 +635,38 @@ def check_estimate(
     the slack R - bound is recorded; an untriggered trajectory reports
     worst_slack = +inf and no intervals.
     """
+    return _read_estimates([traj], variant, params)[0]
+
+
+def _read_estimates(
+    trajs: list[Trajectory], variant: EstimateVariant, params: FlowParams,
+) -> list[EstimateReport]:
+    """``check_estimate`` of each lane of a block, from one dense
+    evaluation and one ``estimate_rhs_array`` call for the block."""
     validate_variant_params(variant, params)
-    bad = _hypothesis_ok(variant, traj.states_array[0])
-    if bad is not None:
-        raise HypothesisViolated(f"{variant.value}: {bad}")
-    ts = _checkpoint_times(traj, uniform=257)
-    rows = traj.eval_many(ts)
-    smallest = (
-        rows[:, 1] + rows[:, 2]
-        if variant is EstimateVariant.NEG_RHO_SCALAR
-        else rows[:, 2]
-    )
-    scalar_curv = 2.0 * rows.sum(axis=1)
+    for traj in trajs:
+        bad = _hypothesis_ok(variant, traj.states_array[0])
+        if bad is not None:
+            raise HypothesisViolated(f"{variant.value}: {bad}")
+    ts, counts = _checkpoints(trajs, _ESTIMATE_POINTS)
+    rows = _eval_lanes(trajs, ts, counts)
+    scalar = variant is EstimateVariant.NEG_RHO_SCALAR
+    smallest = rows[:, 1] + rows[:, 2] if scalar else rows[:, 2]
     trig = smallest < 0.0
+    slack = np.full(len(ts), math.inf)  # +inf where the trigger is off
     bound = estimate_rhs_array(variant, smallest[trig], params, ts[trig])
-    slack = scalar_curv[trig] - bound
-    # contiguous triggered checkpoint runs -> closed time intervals: a run
-    # starts where the padded mask steps up and ends before it steps down
-    edges = np.diff(trig.astype(np.int8), prepend=0, append=0)
-    firsts, lasts = np.flatnonzero(edges == 1), np.flatnonzero(edges == -1) - 1
-    return EstimateReport(
-        variant=variant,
-        worst_slack=float(slack.min(initial=math.inf)),
-        trigger_times=tuple(
-            (float(ts[a]), float(ts[b])) for a, b in zip(firsts, lasts)
-        ),
-        checkpoints=len(ts),
-    )
+    slack[trig] = 2.0 * rows[trig].sum(axis=1) - bound
+    # contiguous triggered checkpoint runs -> closed time intervals, each
+    # cut where its lane opens or closes
+    starts = np.cumsum(counts) - counts
+    before, after = np.roll(trig, 1), np.roll(trig, -1)
+    before[starts] = after[starts - 1] = False
+    firsts, lasts = np.flatnonzero(trig & ~before), np.flatnonzero(trig & ~after)
+    spans: list[list] = [[] for _ in trajs]
+    for lane, a, b in zip(starts.searchsorted(firsts, "right") - 1, ts[firsts].tolist(), ts[lasts].tolist()):
+        spans[lane].append((a, b))
+    worst = np.minimum.reduceat(slack, starts).tolist()
+    return [EstimateReport(variant, *lane) for lane in zip(worst, map(tuple, spans), counts.tolist())]
 
 
 def _seeded_starts(
@@ -692,15 +734,18 @@ def estimate_suite(
     validate_tol(tol)
     states = _estimate_initial_states(variant, count, seed)
 
-    def lane(traj: Trajectory) -> tuple[EstimateReport, float]:
-        rep = check_estimate(traj, variant, params)
+    def covered(traj: Trajectory) -> float:
         if traj.terminal.kind != BLOWUP:
-            return rep, math.inf
+            return math.inf
         trace_last = float(traj.states_array[-1].sum())
         remaining = 3.0 / (4.0 * (1.0 - 3.0 * params.rho) * trace_last)
-        return rep, traj.t_last / (traj.t_last + remaining)
+        return traj.t_last / (traj.t_last + remaining)
 
-    lanes, work_done = _run_lanes(states, params, t_end, config, lane)
+    lanes, work_done = _run_lanes(
+        states, params, t_end, config,
+        lambda trajs: list(zip(_read_estimates(trajs, variant, params), map(covered, trajs))),
+        _ESTIMATE_POINTS,
+    )
     reports = tuple(rep for rep, _ in lanes)
     worst, violating = _worst_lane([rep.worst_slack for rep in reports], tol)
     coverage = min(cover for _, cover in lanes)
@@ -852,7 +897,8 @@ def deriv_suite(
     states = _deriv_initial_states(quantity, trajectories, seed)
     lanes, work_done = _run_lanes(
         states, params, t_end, config,
-        lambda traj: _deriv_discrepancies(traj, quantity, params, (h, h / 2)),
+        lambda trajs: [_deriv_discrepancies(traj, quantity, params, (h, h / 2)) for traj in trajs],
+        2 * 3 * _DERIV_POINTS,
     )
     at_h = [d for d, _ in lanes]
     worst_h = max(at_h)

@@ -199,6 +199,30 @@ def test_eval_many_reads_nodes_without_the_clock_inversion(monkeypatch):
         assert traj.states_array.tobytes() == before
 
 
+def test_eval_many_is_the_one_lane_block_read():
+    # a mixed block: the batch trajectories, a zero-step step-limit run
+    # and a constant trajectory, each read at shuffled interior and node
+    # times with t0 and t_last
+    zero_steps = integrate(EigenTriple(1.0, 0.5, -0.5), P1, 0.0, 1.0,
+                           IntegratorConfig(max_steps=1, rel_tol=1e-15, abs_tol=1e-18))
+    assert zero_steps.dense.shape[0] == 0
+    constant = integrator._constant_trajectory((0.0, 0.0, 0.0), 0.0, 2.0)
+    trajs = [*BATCH_TRAJECTORIES, zero_steps, constant]
+    rng = np.random.default_rng(3)
+    lanes = []
+    for traj in trajs:
+        t0, t1 = traj.t_start, traj.t_last
+        ts = np.concatenate([t0 + rng.random(9) * (t1 - t0), traj.times[1:-1:3], [t0, t1]])
+        rng.shuffle(ts)
+        lanes.append(ts)
+    block = integrator._eval_lanes(trajs, np.concatenate(lanes), [len(ts) for ts in lanes])
+    one_lane = np.concatenate([traj.eval_many(ts) for traj, ts in zip(trajs, lanes)])
+    assert block.tobytes() == one_lane.tobytes()
+    # each lane checks its own interval
+    with pytest.raises(OutOfRange, match=r"\[0.0, 0.01\]"):
+        integrator._eval_lanes(trajs[:2], np.array([0.2, 0.02]), [1, 1])
+
+
 def test_eigenvalue_order_preserved_along_flow():
     rng = np.random.default_rng(5)
     for _ in range(12):

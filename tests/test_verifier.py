@@ -31,11 +31,11 @@ from pinchlab import pinch_functions, verifier
 from pinchlab.cone_sets import sample_set
 from pinchlab.pinch_functions import estimate_rhs_array
 from pinchlab.verifier import (
-    _checkpoint_times,
+    _checkpoints,
     _deriv_discrepancies,
     _deriv_initial_states,
-    _drift,
     _estimate_initial_states,
+    _read_drift,
 )
 
 P_NEG = FlowParams(rho=-1.0)
@@ -295,6 +295,38 @@ def test_scan_memory_stays_a_few_blocks(monkeypatch):
         tracemalloc.stop()
 
 
+def test_invariance_block_memory_stays_bounded(monkeypatch):
+    # the second check_invariance of X over 300 samples, above the memory
+    # before the call, in blocks of floats: a block holds its lanes' arrays
+    # (about 30 floats per node) and its read about 50 floats per
+    # checkpoint, whatever the sample count.  The lanes are replayed as
+    # fresh copies of their first integration, since tracemalloc slows
+    # the pure-Python stepper a hundredfold; a copy allocates the arrays
+    # that a block holds
+    spec = SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG)
+    done = {}
+
+    def replay(state, *args):
+        if state not in done:
+            done[state] = integrate(state, *args)
+        traj = done[state]
+        return dataclasses.replace(traj, times=traj.times.copy(), dense=traj.dense.copy(),
+                                   states_array=traj.states_array.copy())
+
+    monkeypatch.setattr(verifier, "integrate", replay)
+    first = check_invariance(spec, 300, 0.05, 0)
+    block_bytes = 8 * pinch_functions._BLOCK
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        assert check_invariance(spec, 300, 0.05, 0) == first
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        tracemalloc.stop()
+    assert first.checkpoints > pinch_functions._BLOCK  # more than one block
+    assert peak < 64 * block_bytes, peak / block_bytes
+
+
 def test_empty_region_is_an_error():
     with pytest.raises(EmptyRegion):
         scan_inequality(InequalityKind.J_NONNEG_TRACE, P_NEG, resolution=2)
@@ -517,7 +549,8 @@ def test_a_trajectory_of_zero_steps_is_read_at_its_start():
     assert traj.stats["accepted"] == 0
     assert traj.eval_many(0.0).tolist() == list(start.as_tuple())
     assert traj.eval_many(np.zeros(2)).tolist() == [list(start.as_tuple())] * 2
-    assert _checkpoint_times(traj).tolist() == [0.0]
+    ts, counts = _checkpoints([traj], 129)
+    assert (ts.tolist(), counts.tolist()) == ([0.0], [1])
 
 
 def test_invariance_small_run():
@@ -559,7 +592,7 @@ def test_invariance_is_order_independent():
     spec = SetSpec(SetKind.TRACE_POSITIVE_RICCI_LOG, P_NEG)
     rep = check_invariance(spec, samples=10, horizon=0.03, seed=7)
     states = sample_set(spec, 0.0, 10, 7, band=rep.band)
-    lanes = [_drift(integrate(s, spec.params, 0.0, 0.03, IntegratorConfig()), spec)
+    lanes = [_read_drift([integrate(s, spec.params, 0.0, 0.03, IntegratorConfig())], spec)[0]
              for s in states[::-1]]
     assert rep.worst_drift == min(drift for drift, _ in lanes)
     assert rep.checkpoints == sum(points for _, points in lanes)
@@ -651,6 +684,18 @@ def test_estimate_trigger_intervals_are_pinned(variant):
     params, want = TRIGGER_PINS[variant]
     suite = estimate_suite(variant, params, count=6, seed=0)
     assert tuple((r.worst_slack, r.trigger_times) for r in suite.reports) == want
+
+
+def test_estimate_block_read_cuts_trigger_runs_at_lanes():
+    # lanes triggered from start to end, next to each other and to an
+    # untriggered one, read as a block as each reads alone
+    p = FlowParams(rho=0.0)
+    trajs = [integrate(EigenTriple(*start), p, 0.0, t_end) for start, t_end in [
+        ((-1.0, -1.0, -1.0), 0.5), ((-0.5, -0.75, -1.0), 0.3), ((1.0, 1.0, 1.0), 0.2),
+        ((-1.0, -1.0, -1.0), 0.25)]]
+    block = verifier._read_estimates(trajs, EstimateVariant.NONNEG_RHO, p)
+    assert block == [check_estimate(traj, EstimateVariant.NONNEG_RHO, p) for traj in trajs]
+    assert [len(rep.trigger_times) for rep in block] == [1, 1, 0, 1]
 
 
 def test_estimate_untriggered_is_vacuous():
@@ -1020,6 +1065,46 @@ def test_deriv_suites_are_pinned_by_digest():
     assert h.hexdigest() == "8b465ebdc3bf30021e3884b4273e6f55d2fb3605ee8febf2885e1290adfad998"
 
 
+def test_reports_do_not_depend_on_the_block_cut(monkeypatch):
+    # one lane per block, and a cut every few lanes, against the default
+    # block that holds every lane of these runs; field for field
+    params_y = FlowParams(rho=-0.5, eta=1.0, theta=1.0)
+    runs = [
+        lambda: check_invariance(SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), 10, 0.03, 5),
+        lambda: check_invariance(SetSpec(SetKind.SECTIONAL_LOG_NONNEG_RICCI, params_y), 8, 0.02, 3,
+                                 recheck=SetSpec(SetKind.SECTIONAL_LOG, params_y)),
+        lambda: estimate_suite(EstimateVariant.NEG_RHO_SECTIONAL, FlowParams(rho=-0.5, eta=1.0), 6, 0),
+        lambda: estimate_suite(EstimateVariant.NONNEG_RHO, FlowParams(rho=0.1), 6, 1),
+        lambda: deriv_suite(QuantityKind.LAMBDA_PINCH, P_NEG, trajectories=6, seed=2),
+    ]
+    real = verifier._run_lanes
+
+    def recorded(states, params, t_end, config, read, uniform):
+        def read_block(trajs):
+            sizes[-1].append(len(trajs))
+            return read(trajs)
+        return real(states, params, t_end, config, read_block, uniform)
+
+    monkeypatch.setattr(verifier, "_run_lanes", recorded)
+
+    def reports():
+        out = []
+        for run in runs:
+            sizes.append([])
+            out.append(repr(dataclasses.asdict(run())))
+        return out
+
+    sizes = []
+    default = reports()
+    assert all(len(s) == 1 for s in sizes)
+    for block in (1, 1000):
+        monkeypatch.setattr(pinch_functions, "_BLOCK", block)
+        sizes = []
+        assert reports() == default, block
+        assert all(len(s) > 1 for s in sizes), sizes
+        assert block == 1 or all(max(s) > 1 for s in sizes), sizes
+
+
 def test_each_suite_keeps_its_worst_lane_rule(monkeypatch):
     # invariance names the first strictly lowest drift below -tol, and
     # none when no drift is below inf; deriv-check names a trajectory
@@ -1031,7 +1116,8 @@ def test_each_suite_keeps_its_worst_lane_rule(monkeypatch):
         ([math.inf] * 4, (math.inf, None)),
     ]:
         scores = iter(drifts)
-        monkeypatch.setattr(verifier, "_drift", lambda traj, recheck: (next(scores), 1))
+        monkeypatch.setattr(verifier, "_read_drift",
+                            lambda trajs, recheck: [(next(scores), 1) for _ in trajs])
         rep = check_invariance(spec, samples=4, horizon=0.01, seed=0)
         assert (rep.worst_drift, rep.violating_seed) == want
 
