@@ -663,10 +663,12 @@ def _read_estimates(
     before[starts] = after[starts - 1] = False
     firsts, lasts = np.flatnonzero(trig & ~before), np.flatnonzero(trig & ~after)
     spans: list[list] = [[] for _ in trajs]
-    for lane, a, b in zip(starts.searchsorted(firsts, "right") - 1, ts[firsts].tolist(), ts[lasts].tolist()):
+    lanes = starts.searchsorted(firsts, "right") - 1
+    for lane, a, b in zip(lanes.tolist(), ts[firsts].tolist(), ts[lasts].tolist()):
         spans[lane].append((a, b))
     worst = np.minimum.reduceat(slack, starts).tolist()
-    return [EstimateReport(variant, *lane) for lane in zip(worst, map(tuple, spans), counts.tolist())]
+    return [EstimateReport(variant, *lane)
+            for lane in zip(worst, map(tuple, spans), counts.tolist())]
 
 
 def _seeded_starts(
