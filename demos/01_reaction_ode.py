@@ -27,7 +27,7 @@ print("== 1. the isotropic line is exact and known in closed form")
 traj = integrate(EigenTriple(1.0, 1.0, 1.0), params, 0.0, 0.06)
 print(f"   integrated {len(traj.times)} accepted nodes on [0, 0.06]")
 for t in (0.0, 0.02, 0.04, 0.06):
-    num = traj.eval_at(t).lam
+    num = EigenTriple.sorted_from(*traj.eval_many(t)).lam
     exact = isotropic_solution(1.0, params, t)
     print(f"   t={t:4.2f}  numeric={num:12.6f}  closed form={exact:12.6f}  "
           f"diff={abs(num - exact):.2e}")

@@ -78,6 +78,6 @@ print()
 print("== 5. watch the ratio-log quantity stay monotone where J >= 0")
 traj = integrate(EigenTriple(0.5, -0.8, -0.9), params, 0.0, 0.01)
 for t in np.linspace(0.0, traj.t_last, 6):
-    st = traj.eval_at(float(t))
+    st = EigenTriple.sorted_from(*traj.eval_many(t))
     print(f"   t={t:7.4f}  quantity={lambda_pinch(st, params):.8f}  "
           f"J={j_poly_array(*st.as_tuple(), params.rho):.4f}")

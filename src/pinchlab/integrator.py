@@ -48,8 +48,8 @@ and y = e^l u at the accepted nodes.  ``eval_many`` finds the step that
 covers each time, solves t(sigma) = t on that step's clock by two
 guarded Newton steps from the sigma of an exponential clock, and returns
 e^l(sigma) u(sigma); a node's row is copied from ``states_array``
-without the clock inversion.  It is the one-lane case of ``_eval_lanes``,
-which reads a block of trajectories with one clock inversion.
+without the clock inversion.  ``_read_lanes`` reads a block of lanes at
+fixed step fractions instead, where t comes from the clock formula.
 
 Terminal rules:
 
@@ -286,74 +286,70 @@ class Trajectory:
         return float(self.times[-1])
 
     def eval_many(self, ts) -> np.ndarray:
-        """Dense evaluation at an array of times, (len(ts), 3): the
-        one-lane case of ``_eval_lanes``, which gives its rules."""
+        """Dense evaluation at a time or an array of times, (*ts.shape, 3),
+        by the rules of the module docstring.  Each row depends on its own
+        time only, so a batch gives the rows, bit for bit, of one call per
+        time.  A time outside [t_start, t_last], NaN and infinities
+        included, raises OutOfRange."""
         ts = np.asarray(ts, dtype=float)
-        out = _eval_lanes([self], ts.ravel(), [ts.size])
-        return out if ts.ndim == 1 else out.reshape(*ts.shape, 3)
-
-    def eval_at(self, t: float) -> EigenTriple:
-        row = self.eval_many(np.asarray([float(t)]))[0]
-        return EigenTriple.sorted_from(*row)
-
-
-_NO_STEP = np.zeros((1, 5, 5))
-
-
-def _joined(arrays: list) -> np.ndarray:
-    """The arrays end to end; a single array as it is."""
-    return arrays[0] if len(arrays) == 1 else np.concatenate(arrays)
-
-
-def _eval_lanes(trajs: Sequence[Trajectory], ts, counts: Sequence[int]) -> np.ndarray:
-    """Dense evaluation of a block of trajectories, (len(ts), 3): ``ts``
-    holds ``counts[i]`` times of each ``trajs[i]`` in turn.
-
-    A stored node's row is copied from ``states_array``; any other time
-    is mapped to the sigma of its covering step at which the step's
-    clock reaches it, and evaluates to e^l(sigma) u(sigma), with one
-    clock inversion and one Horner pass for the whole block.  Each row
-    depends on its own lane and time only, so a block gives the rows,
-    bit for bit, of one call per lane or per time.  A time outside its
-    lane's covered interval, NaN and infinities included, raises
-    OutOfRange.
-    """
-    ts = np.asarray(ts, dtype=float)
-    ends, times, states, dense = [], [], [], []
-    stop = first = 0
-    for traj, n in zip(trajs, counts):
-        t, stop = ts[stop:stop + n], stop + n
+        t = ts.ravel()
         # written so that NaN, for which every comparison is False, fails
-        if n and not (t.min() >= traj.times[0] and t.max() <= traj.times[-1]):
+        if t.size and not (t.min() >= self.times[0] and t.max() <= self.times[-1]):
             raise OutOfRange(
                 f"evaluation times must be finite and lie in "
-                f"[{traj.times[0]}, {traj.times[-1]}]"
+                f"[{self.times[0]}, {self.times[-1]}]"
             )
-        # in range, so every time has a first node at or after it: its
-        # index among the block's nodes, lane after lane
-        k = traj.times.searchsorted(t)
-        ends.append(k + first if first else k)
-        first += len(traj.times)
-        times.append(traj.times)
-        states.append(traj.states_array)
-        # a lane has one step fewer than nodes: a row that no time reads
-        # after each lane's steps puts the step ending at node k in row k - 1
-        dense += (traj.dense, _NO_STEP)
-    end, times = _joined(ends), _joined(times)
-    # nodes keep their state, a fresh copy; only a time off the nodes,
-    # inside the step that ends at node ``end``, pays for the clock inversion
-    out = _joined(states)[end]
-    off = (times[end] != ts).nonzero()[0]
-    if off.size:
-        end = end[off]
-        step = end - 1
-        # coefficient, component, point: every operand below is
-        # contiguous, and the block's joined steps are let go at once
-        c = np.ascontiguousarray(_joined(dense[:-1])[step].transpose(2, 1, 0))
-        sig = _sigma_at(c, times[step], times[end], ts[off])
+        # in range, so every time has a first node at or after it
+        end = self.times.searchsorted(t)
+        # nodes keep their state, a fresh copy; only a time off the nodes,
+        # inside the step that ends at node ``end``, pays for the clock inversion
+        out = self.states_array[end]
+        off = (self.times[end] != t).nonzero()[0]
+        if off.size:
+            end = end[off]
+            step = end - 1
+            # coefficient, component, point: every operand below is contiguous
+            c = np.ascontiguousarray(self.dense[step].transpose(2, 1, 0))
+            sig = _sigma_at(c, self.times[step], self.times[end], t[off])
+            y = _horner(c[:, :4], sig)
+            out[off] = (np.exp(y[3]) * y[:3]).T
+        return out.reshape(*ts.shape, 3)
+
+
+def _read_lanes(trajs: Sequence[Trajectory]) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every node of a block of trajectories and the points at sigma =
+    1/4, 1/2, 3/4 of every step, lane after lane and in step order: their
+    times, rows (points, 3) and each lane's count, nodes + 3 steps.
+
+    Nodes are copied from ``times`` and ``states_array``.  At a fraction
+    the row is e^l(sigma) u(sigma), one Horner pass on the step's
+    coefficients, and t = t_k + sigma D(sigma) - A expm1(l_k - l(sigma)):
+    no clock is inverted.  Each point depends on its own step only, so a
+    block gives the points, bit for bit, of one call per lane.
+    """
+    nodes = np.array([len(traj.times) for traj in trajs])
+    counts = 4 * nodes - 3
+    lanes = np.arange(len(trajs))
+    ts = np.empty(counts.sum())
+    rows = np.empty((len(ts), 3))
+    # node g of the block, in lane i, has 4g points before it less the
+    # three that each earlier lane's last node, which starts no step, lacks
+    at = 4 * np.arange(nodes.sum()) - 3 * np.repeat(lanes, nodes)
+    ts[at] = np.concatenate([traj.times for traj in trajs])
+    rows[at] = np.concatenate([traj.states_array for traj in trajs])
+    # the block's step s, in lane i, starts from its node s + i: point 4s + i
+    start = 4 * np.arange(nodes.sum() - len(trajs)) + np.repeat(lanes, nodes - 1)
+    t0 = ts[start]
+    # coefficient, component, step
+    c = np.concatenate([traj.dense.T for traj in trajs], axis=2)
+    ln, tq = c[1:, 3], c[1:, 4]  # sigma^1..4 of l - l_k and of sigma D(sigma)
+    for j, sig in enumerate((0.25, 0.5, 0.75), 1):
         y = _horner(c[:, :4], sig)
-        out[off] = (np.exp(y[3]) * y[:3]).T
-    return out
+        rows[start + j] = (np.exp(y[3]) * y[:3]).T
+        rise = sig * (ln[0] + sig * (ln[1] + sig * (ln[2] + sig * ln[3])))
+        ts[start + j] = t0 + (sig * (tq[0] + sig * (tq[1] + sig * (tq[2] + sig * tq[3])))
+                              - c[0, 4] * np.expm1(-rise))
+    return ts, rows, counts
 
 
 def _initial_step(u, f) -> float:

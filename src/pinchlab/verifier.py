@@ -14,10 +14,10 @@ Four instruments:
   temporaries stay in cache.
 * ``check_invariance`` — samples states in a thin band along a region's
   boundary, pushes each through the flow, and re-evaluates membership
-  at dense checkpoints (with the membership clock advancing along the
-  trajectory for the time-dependent regions).
+  at every node and at fixed fractions of every step (with the clock of
+  the time-dependent regions advancing along the trajectory).
 * ``check_estimate`` — asserts the scalar-curvature lower bounds along
-  a trajectory wherever their trigger holds.
+  a trajectory wherever their trigger holds, at the same points.
 * ``deriv_suite`` — central-difference vs closed-form rate for the two
   monotone quantities over seeded short trajectories, the numerical
   cross-examination of the exact derivative identities.  A trajectory's
@@ -37,8 +37,9 @@ once, on ``FlowParams``; this module only applies it.  The ensemble loop
 of the three suites (integrate each seeded start, check it, sum the
 integrator's work) is written once, in ``_run_lanes``, which hands the
 trajectories to the suite's reader a block at a time: the invariance and
-estimate readers make one dense evaluation and one margin or bound call
-per block, so a lane's check costs no fixed numpy overhead of its own.
+estimate readers make one ``integrator._read_lanes`` call, which inverts
+no clock, and one margin or bound call per block, so a lane's check
+costs no fixed numpy overhead of its own.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from . import pinch_functions
 from .cone_sets import SetKind, SetSpec, margin_array, sample_set
 from .eigen_ode import EigenTriple, FlowParams, rhs_array
 from .errors import DomainError, EmptyRegion, HypothesisViolated, _require_integer
-from .integrator import BLOWUP, IntegratorConfig, Trajectory, _eval_lanes, integrate
+from .integrator import BLOWUP, IntegratorConfig, Trajectory, _read_lanes, integrate
 from .pinch_functions import (
     EstimateVariant,
     estimate_rhs_array,
@@ -446,39 +447,17 @@ def invariance_is_claimed(spec: SetSpec) -> bool:
     return True
 
 
-def _checkpoints(trajs: Sequence[Trajectory], uniform: int) -> tuple[np.ndarray, np.ndarray]:
-    """Each lane's checkpoints: a uniform grid of ``uniform`` times over
-    its covered interval and every accepted node, sorted and without
-    repeats, as np.unique gives them.  Returns the times of the block,
-    lane after lane, and each lane's count."""
-    t0s, t1s = np.array([(traj.t_start, traj.t_last) for traj in trajs]).T
-    grid = np.empty((len(trajs), uniform))
-    # one linspace for the block has each lane's bits, except where a
-    # step is 0 (a lane of one node), for which numpy takes another path
-    moving = (t1s - t0s) / (uniform - 1) != 0.0
-    grid[moving] = np.linspace(t0s[moving], t1s[moving], uniform, axis=1)
-    for i in np.flatnonzero(~moving):
-        grid[i] = np.linspace(t0s[i], t1s[i], uniform)
-    merged = [np.sort(np.concatenate([row, traj.times])) for row, traj in zip(grid, trajs)]
-    ts = np.concatenate(merged)
-    starts = np.cumsum([0, *map(len, merged[:-1])])
-    keep = np.empty(len(ts), dtype=bool)
-    np.not_equal(ts[1:], ts[:-1], out=keep[1:])
-    keep[starts] = True  # a lane's first time is no repeat of the lane before
-    return ts[keep], np.add.reduceat(keep, starts, dtype=np.intp)
-
-
 def _run_lanes(
     states: Sequence[EigenTriple], params: FlowParams, t_end: float,
     config: IntegratorConfig | None, read: Callable[[list[Trajectory]], list],
-    uniform: int,
 ) -> tuple[list, _Work]:
     """The ensemble loop of every suite: integrate each start over
     [0, t_end] in start order and hand the trajectories to ``read`` a
     block at a time; it returns one result per lane.  A block is cut
-    where its checkpoints, at most ``uniform`` plus the nodes per lane,
-    pass ``pinch_functions._BLOCK``.  Returns the results in start order
-    and the integrator work summed over the lanes."""
+    where the points ``_read_lanes`` takes from it, about four per step,
+    pass ``pinch_functions._BLOCK``, which bounds its read and the steps
+    it holds.  Returns the results in start order and the integrator
+    work summed over the lanes."""
     results: list = []
     block: list[Trajectory] = []
     points = accepted = rejected = evals = 0
@@ -490,7 +469,7 @@ def _run_lanes(
         evals += traj.stats["rhs_evals"]
         kinds[traj.terminal.kind] = kinds.get(traj.terminal.kind, 0) + 1
         block.append(traj)
-        points += uniform + len(traj.times)
+        points += 4 * len(traj.times) - 3
         if points >= pinch_functions._BLOCK:
             results += read(block)
             block, points = [], 0
@@ -509,15 +488,11 @@ def _worst_lane(scores: Sequence[float], tol: float) -> tuple[float, int | None]
     return worst, lane if worst < -tol else None
 
 
-_DRIFT_POINTS = 129  # uniform checkpoints per invariance lane
-
-
 def _read_drift(trajs: list[Trajectory], recheck: SetSpec) -> list[tuple[float, int]]:
     """Each lane's lowest normalized membership margin of ``recheck``,
-    and the number of checkpoints it was read at: one dense evaluation
+    and the number of checkpoints it was read at: one ``_read_lanes``
     and one ``margin_array`` call for the block."""
-    ts, counts = _checkpoints(trajs, _DRIFT_POINTS)
-    rows = _eval_lanes(trajs, ts, counts)
+    ts, rows, counts = _read_lanes(trajs)
     margins = margin_array(recheck, rows[:, 0], rows[:, 1], rows[:, 2], ts)
     drift = margins / (1.0 + np.abs(rows.sum(axis=1)))
     lowest = np.minimum.reduceat(drift, np.cumsum(counts) - counts)
@@ -537,8 +512,8 @@ def check_invariance(
 
     Draws ``samples`` states with membership margin in [0, 100*tol] at
     t=0, integrates each over [0, horizon] (blow-ups recorded, not
-    errors), and evaluates membership margins on a uniform grid and at
-    every accepted node, with the region clock advancing along each
+    errors), and evaluates membership margins at the points of
+    ``_read_lanes``, with the region clock advancing along each
     trajectory.  worst_drift is the most negative normalized margin seen
     anywhere; the integrator's work is summed into the report.
 
@@ -559,7 +534,7 @@ def check_invariance(
     states = sample_set(spec, 0.0, samples, seed, band=band)
     lanes, work_done = _run_lanes(
         states, spec.params, horizon, config,
-        lambda trajs: _read_drift(trajs, eff_recheck), _DRIFT_POINTS,
+        lambda trajs: _read_drift(trajs, eff_recheck),
     )
     worst, violating = _worst_lane([drift for drift, _ in lanes], tol)
     return InvarianceReport(
@@ -618,9 +593,6 @@ def _hypothesis_ok(variant: EstimateVariant, row: np.ndarray) -> str | None:
     return None
 
 
-_ESTIMATE_POINTS = 257  # uniform checkpoints per estimate lane
-
-
 def check_estimate(
     traj: Trajectory,
     variant: EstimateVariant,
@@ -630,10 +602,10 @@ def check_estimate(
     one-lane case of the block read of ``estimate_suite``.
 
     The initial state must satisfy the variant's hypothesis (checked,
-    HypothesisViolated otherwise).  At every dense checkpoint where the
-    trigger holds (mu+nu < 0 for the scalar variant, nu < 0 otherwise)
-    the slack R - bound is recorded; an untriggered trajectory reports
-    worst_slack = +inf and no intervals.
+    HypothesisViolated otherwise).  At every point of ``_read_lanes``
+    where the trigger holds (mu+nu < 0 for the scalar variant, nu < 0
+    otherwise) the slack R - bound is recorded; an untriggered trajectory
+    reports worst_slack = +inf and no intervals.
     """
     return _read_estimates([traj], variant, params)[0]
 
@@ -641,15 +613,14 @@ def check_estimate(
 def _read_estimates(
     trajs: list[Trajectory], variant: EstimateVariant, params: FlowParams,
 ) -> list[EstimateReport]:
-    """``check_estimate`` of each lane of a block, from one dense
-    evaluation and one ``estimate_rhs_array`` call for the block."""
+    """``check_estimate`` of each lane of a block, from one
+    ``_read_lanes`` and one ``estimate_rhs_array`` call for the block."""
     validate_variant_params(variant, params)
     for traj in trajs:
         bad = _hypothesis_ok(variant, traj.states_array[0])
         if bad is not None:
             raise HypothesisViolated(f"{variant.value}: {bad}")
-    ts, counts = _checkpoints(trajs, _ESTIMATE_POINTS)
-    rows = _eval_lanes(trajs, ts, counts)
+    ts, rows, counts = _read_lanes(trajs)
     scalar = variant is EstimateVariant.NEG_RHO_SCALAR
     smallest = rows[:, 1] + rows[:, 2] if scalar else rows[:, 2]
     trig = smallest < 0.0
@@ -746,7 +717,6 @@ def estimate_suite(
     lanes, work_done = _run_lanes(
         states, params, t_end, config,
         lambda trajs: list(zip(_read_estimates(trajs, variant, params), map(covered, trajs))),
-        _ESTIMATE_POINTS,
     )
     reports = tuple(rep for rep, _ in lanes)
     worst, violating = _worst_lane([rep.worst_slack for rep in reports], tol)
@@ -900,7 +870,6 @@ def deriv_suite(
     lanes, work_done = _run_lanes(
         states, params, t_end, config,
         lambda trajs: [_deriv_discrepancies(traj, quantity, params, (h, h / 2)) for traj in trajs],
-        2 * 3 * _DERIV_POINTS,
     )
     at_h = [d for d, _ in lanes]
     worst_h = max(at_h)

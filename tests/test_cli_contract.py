@@ -74,25 +74,28 @@ def test_simulate_meta_block_is_pinned(tmp_path):
 
 # sha256 of the full JSON stdout of the commands that read a parameter
 # window or a time factor, recorded before each window and factor moved
-# to one function; the K run at eta = 1 is an observation (claimed=false)
+# to one function; the K run at eta = 1 is an observation (claimed=false).
+# The verify-set runs and verify-estimate nonneg-rho were recorded again
+# when the suites came to read each step at fixed fractions, which moved
+# their checkpoints and that estimate's worst_slack
 VERIFY_SET_SMALL = ["--samples", "3", "--horizon", "0.01"]
 REPORT_SHA_PINS = {
     "verify-set X": (
         ["verify-set", "--set", "X", "--rho", "-1", *VERIFY_SET_SMALL],
-        "402e9fc39d0e82d4eb5af0f05b17df1a187cc7d4f009e84d31a9517cf63a507d"),
+        "712f8d9fd1e63d5e2370ab8b2af3f91fe529443912913f3fdd12a7030acab8e9"),
     "verify-set W": (
         ["verify-set", "--set", "W", "--rho", "-1", *VERIFY_SET_SMALL],
-        "fb56b912905ff61c60b0879958b6ec9b6a25f9a578c8ac0b8af10f8faf22cab3"),
+        "5a35e87c57beba44ae2f25dda348327305cde046e3e33c283efd361f2d1c7150"),
     "verify-set Y": (
         ["verify-set", "--set", "Y", "--rho", "-0.5", "--eta", "1", *VERIFY_SET_SMALL],
-        "8dde49b4d6943a08f4f58230c229e0758b864d83a272d43f90f6ab9b92ebb759"),
+        "0d2d7b02e9a11e3f5cc610597edcff634e006ca06045f85a120029410bd5e3d5"),
     "verify-set K": (
         ["verify-set", "--set", "K", "--rho", "0.1", *VERIFY_SET_SMALL],
-        "9c9a311ce0d320680b873241ab237e47a613dc7879545aa6ae0736e9e5f30899"),
+        "8245a99426a31b4edb00a16a4ba2199f55d672eb02a052221af672361a9d688f"),
     "verify-set K observation": (
         ["verify-set", "--set", "K", "--rho", "-0.5", "--eta", "1", "--samples", "3",
          "--horizon", "0.05"],
-        "bc4d29f763554c5b74eb7af5344f2967b909c3eeb60a1dc77c92b8d95af938ff"),
+        "cfb837f8de8f54389f2dd64f6d430412d80c6f52d5ececf25f8c4079ea4a21de"),
     "verify-estimate neg-rho-scalar": (
         ["verify-estimate", "--variant", "neg-rho-scalar", "--rho", "-1", "--count", "3"],
         "d4d00c5cceda79c4b8952907384e01fea52d06f2458e1f895be6222dc1480f99"),
@@ -102,7 +105,7 @@ REPORT_SHA_PINS = {
         "1c25cb4222cdee8ca28c8576c16c1788a6b8dae009939208cb5eaf498d1dd3c5"),
     "verify-estimate nonneg-rho": (
         ["verify-estimate", "--variant", "nonneg-rho", "--rho", "0.1", "--count", "3"],
-        "c09abccaded6316a5b41dc192b0a9ae03cf42b1591a110bb8b1fa89daf16b857"),
+        "4a9b8d5434cbc11215c456dec2a5bd87d30540ce6182fb5b1cf5cfe10b6dd4be"),
     "deriv-check lambda-pinch": (
         ["deriv-check", "--quantity", "lambda-pinch", "--rho", "-1", "--trajectories", "2"],
         "f0ff69b5467fb49025d2c70b54f662202309d6e4028dec98e48af39215a60ba2"),

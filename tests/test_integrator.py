@@ -139,7 +139,7 @@ def test_dense_output_between_nodes():
 def test_eval_outside_span_raises():
     traj = integrate(EigenTriple(1.0, 1.0, 1.0), P0, 0.0, 0.1)
     with pytest.raises(OutOfRange):
-        traj.eval_at(0.11)
+        traj.eval_many(0.11)
     with pytest.raises(OutOfRange):
         traj.eval_many(np.array([-0.01, 0.05]))
 
@@ -150,7 +150,7 @@ def test_eval_non_finite_time_raises(bad):
     with pytest.raises(OutOfRange):
         traj.eval_many(np.array([0.001, bad]))
     with pytest.raises(OutOfRange):
-        traj.eval_at(bad)
+        traj.eval_many(bad)
 
 
 # an isotropic blow-up, a short mixed-sign run, and a blow-up with
@@ -180,7 +180,6 @@ def test_eval_many_batch_equals_one_point_calls(which, fractions, nodes, rng):
     for t, row in zip(ts, batch):
         assert row.tobytes() == traj.eval_many(np.array([t]))[0].tobytes()
         assert row.tobytes() == traj.eval_many(t).tobytes()
-        assert traj.eval_at(t) == EigenTriple.sorted_from(*row)
 
 
 def test_eval_many_reads_nodes_without_the_clock_inversion(monkeypatch):
@@ -199,28 +198,53 @@ def test_eval_many_reads_nodes_without_the_clock_inversion(monkeypatch):
         assert traj.states_array.tobytes() == before
 
 
-def test_eval_many_is_the_one_lane_block_read():
-    # a mixed block: the batch trajectories, a zero-step step-limit run
-    # and a constant trajectory, each read at shuffled interior and node
-    # times with t0 and t_last
-    zero_steps = integrate(EigenTriple(1.0, 0.5, -0.5), P1, 0.0, 1.0,
-                           IntegratorConfig(max_steps=1, rel_tol=1e-15, abs_tol=1e-18))
-    assert zero_steps.dense.shape[0] == 0
-    constant = integrator._constant_trajectory((0.0, 0.0, 0.0), 0.0, 2.0)
-    trajs = [*BATCH_TRAJECTORIES, zero_steps, constant]
-    rng = np.random.default_rng(3)
-    lanes = []
-    for traj in trajs:
-        t0, t1 = traj.t_start, traj.t_last
-        ts = np.concatenate([t0 + rng.random(9) * (t1 - t0), traj.times[1:-1:3], [t0, t1]])
-        rng.shuffle(ts)
-        lanes.append(ts)
-    block = integrator._eval_lanes(trajs, np.concatenate(lanes), [len(ts) for ts in lanes])
-    one_lane = np.concatenate([traj.eval_many(ts) for traj, ts in zip(trajs, lanes)])
-    assert block.tobytes() == one_lane.tobytes()
-    # each lane checks its own interval
-    with pytest.raises(OutOfRange, match=r"\[0.0, 0.01\]"):
-        integrator._eval_lanes(trajs[:2], np.array([0.2, 0.02]), [1, 1])
+# lanes of every ending: a blow-up past the norm, one on the stalled clock,
+# a lane that reaches its end, a constant lane and a step-limit lane of no
+# step
+READ_LANES = (
+    BATCH_TRAJECTORIES[0],
+    integrate(EigenTriple(58.59500633031746, -27.657793887989612, -55.67273816939442),
+              P1, 0.0, 0.05, IntegratorConfig(blowup_norm=1e307)),
+    BATCH_TRAJECTORIES[1],
+    integrator._constant_trajectory((0.0, 0.0, 0.0), 0.0, 2.0),
+    integrate(EigenTriple(1.0, 0.5, -0.5), P1, 0.0, 1.0,
+              IntegratorConfig(max_steps=1, rel_tol=1e-15, abs_tol=1e-18)),
+)
+
+
+def test_read_lanes_takes_every_node_and_three_points_per_step():
+    terminals = [traj.terminal for traj in READ_LANES]
+    assert [t.norm_exceeded for t in terminals] == [True, False, False, False, False]
+    assert [t.step_collapse for t in terminals] == [False, True, False, False, False]
+    assert [t.kind for t in terminals[2:]] == [REACHED_END, REACHED_END, STEP_LIMIT]
+    assert READ_LANES[-1].dense.shape[0] == 0
+    for traj in READ_LANES:
+        ts, rows, counts = integrator._read_lanes([traj])
+        steps = len(traj.dense)
+        assert counts.tolist() == [len(traj.times) + 3 * steps]
+        # every fourth point is a node, its time and row copied
+        assert ts[::4].tobytes() == traj.times.tobytes()
+        assert rows[::4].tobytes() == traj.states_array.tobytes()
+        # the three points after a node lie in the step it starts
+        inner = np.delete(ts, np.s_[::4]).reshape(steps, 3)
+        assert np.all(inner >= traj.times[:-1, None]) and np.all(inner <= traj.times[1:, None])
+        assert np.all(np.diff(ts) >= 0.0)
+
+
+def test_read_lanes_points_lie_on_the_dense_output():
+    # a fraction point's row is the state that inverting the clock at its
+    # time gives, up to the inversion's residual; on a lane far from
+    # blow-up, where the state moves slowly in t
+    traj = READ_LANES[2]
+    ts, rows, _ = integrator._read_lanes([traj])
+    np.testing.assert_allclose(traj.eval_many(ts), rows, rtol=1e-12, atol=1e-14)
+
+
+def test_read_lanes_block_equals_one_read_per_lane():
+    block = integrator._read_lanes(READ_LANES)
+    lanes = [integrator._read_lanes([traj]) for traj in READ_LANES]
+    for joined, parts in zip(block, zip(*lanes)):
+        assert joined.tobytes() == np.concatenate(parts).tobytes()
 
 
 def test_eigenvalue_order_preserved_along_flow():
@@ -271,7 +295,7 @@ def test_nu_trigger_event_location():
     assert hits[0].time == pytest.approx(0.04295980938418191, abs=1e-8)
     assert hits[0].direction == -1
     # cross-check against the dense output: the event function vanishes there
-    nu = traj.eval_at(hits[0].time).nu
+    nu = EigenTriple.sorted_from(*traj.eval_many(hits[0].time)).nu
     assert nu + 1.0 / (1.0 + 2.0 * hits[0].time) == pytest.approx(0.0, abs=1e-9)
 
 
@@ -282,7 +306,7 @@ def test_nu_zero_event():
     hits = [e for e in traj.events if e.name == "nu_zero"]
     assert len(hits) == 1
     assert hits[0].direction == 1
-    assert abs(traj.eval_at(hits[0].time).nu) < 1e-9
+    assert abs(EigenTriple.sorted_from(*traj.eval_many(hits[0].time)).nu) < 1e-9
 
 
 def test_ricci_trigger_only_for_negative_rho():

@@ -27,11 +27,10 @@ from pinchlab import (
     invariance_is_claimed,
     scan_inequality,
 )
-from pinchlab import pinch_functions, verifier
+from pinchlab import integrator, pinch_functions, verifier
 from pinchlab.cone_sets import sample_set
 from pinchlab.pinch_functions import estimate_rhs_array
 from pinchlab.verifier import (
-    _checkpoints,
     _deriv_discrepancies,
     _deriv_initial_states,
     _estimate_initial_states,
@@ -297,9 +296,11 @@ def test_scan_memory_stays_a_few_blocks(monkeypatch):
 
 def test_invariance_block_memory_stays_bounded(monkeypatch):
     # the second check_invariance of X over 300 samples, above the memory
-    # before the call, in blocks of floats: a block holds its lanes' arrays
-    # (about 30 floats per node) and its read about 50 floats per
-    # checkpoint, whatever the sample count.  The lanes are replayed as
+    # before the call, in blocks of floats, whatever the sample count.  A
+    # block of about 2^16 points holds its lanes' arrays (about 30 floats
+    # per node, a node per four points) and its read's times and rows (4
+    # floats per point); margin_array's temporaries, about 21 floats per
+    # point, put the peak at about 33 blocks.  The lanes are replayed as
     # fresh copies of their first integration, since tracemalloc slows
     # the pure-Python stepper a hundredfold; a copy allocates the arrays
     # that a block holds
@@ -324,7 +325,7 @@ def test_invariance_block_memory_stays_bounded(monkeypatch):
     finally:
         tracemalloc.stop()
     assert first.checkpoints > pinch_functions._BLOCK  # more than one block
-    assert peak < 64 * block_bytes, peak / block_bytes
+    assert peak < 40 * block_bytes, peak / block_bytes
 
 
 def test_empty_region_is_an_error():
@@ -549,8 +550,31 @@ def test_a_trajectory_of_zero_steps_is_read_at_its_start():
     assert traj.stats["accepted"] == 0
     assert traj.eval_many(0.0).tolist() == list(start.as_tuple())
     assert traj.eval_many(np.zeros(2)).tolist() == [list(start.as_tuple())] * 2
-    ts, counts = _checkpoints([traj], 129)
-    assert (ts.tolist(), counts.tolist()) == ([0.0], [1])
+    ts, rows, counts = integrator._read_lanes([traj])
+    assert (ts.tolist(), rows.tolist(), counts.tolist()) == ([0.0], [list(start.as_tuple())], [1])
+
+
+def test_suites_never_invert_the_clock(monkeypatch):
+    # the lanes are integrated in a first run, since a step retried to
+    # land on t_end inverts its own clock; the second run only reads them
+    done = {}
+
+    def replay(state, *args):
+        if state not in done:
+            done[state] = integrate(state, *args)
+        return done[state]
+
+    def refuse(*args):
+        raise AssertionError("a suite entered the clock inversion")
+
+    monkeypatch.setattr(verifier, "integrate", replay)
+    runs = [
+        lambda: check_invariance(SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), 8, 0.05, 42),
+        lambda: estimate_suite(EstimateVariant.NONNEG_RHO, FlowParams(rho=0.1), 6, 0),
+    ]
+    first = [run() for run in runs]
+    monkeypatch.setattr(integrator, "_sigma_at", refuse)
+    assert [run() for run in runs] == first
 
 
 def test_invariance_small_run():
@@ -652,8 +676,8 @@ def test_estimate_slack_zero_at_equality_start():
 
 
 # (worst_slack, trigger_times) of every per-trajectory report of
-# estimate_suite(count=6, seed=0), recorded before the triggered runs
-# were read from one np.diff
+# estimate_suite(count=6, seed=0), read at every node and at sigma = 1/4,
+# 1/2, 3/4 of every step
 TRIGGER_PINS = {
     EstimateVariant.NEG_RHO_SCALAR: (FlowParams(rho=-1.0), (
         (math.inf, ()), (math.inf, ()), (math.inf, ()), (math.inf, ()),
@@ -662,19 +686,19 @@ TRIGGER_PINS = {
     )),
     EstimateVariant.NEG_RHO_SECTIONAL: (FlowParams(rho=-0.5, eta=1.0), (
         (math.inf, ()),
-        (6.62440103086892, ((0.0, 0.005451769183100636),)),
-        (10.849977060854677, ((0.0, 0.05644376197682973),)),
+        (6.62440103086892, ((0.0, 0.005294904920869654),)),
+        (10.849977060854677, ((0.0, 0.05634441777036042),)),
         (math.inf, ()),
-        (6.05065654878331, ((0.0, 0.09290905280581306),)),
+        (6.05065654878331, ((0.0, 0.0922760782894229),)),
         (math.inf, ()),
     )),
     EstimateVariant.NONNEG_RHO: (FlowParams(rho=0.1), (
-        (6.186054550319411, ((0.0, 0.010506146901429148),)),
-        (4.271739823223293, ((0.0, 0.129782745322265),)),
-        (6.68317865384882, ((0.0, 0.21372060101726648),)),
+        (6.144497031912082, ((0.0, 0.011359297868892535),)),
+        (4.268740674746384, ((0.0, 0.12988880669625388),)),
+        (6.702551749447776, ((0.0, 0.21311369361041296),)),
         (math.inf, ()),
-        (4.53323921838102, ((0.0, 0.5666842409301712),)),
-        (5.2903107941045615, ((0.0, 0.1545922994554978),)),
+        (4.53322463507682, ((0.0, 0.5666842409301712),)),
+        (5.290307990603702, ((0.0, 0.15446162005173086),)),
     )),
 }
 
@@ -1066,8 +1090,10 @@ def test_deriv_suites_are_pinned_by_digest():
 
 
 def test_reports_do_not_depend_on_the_block_cut(monkeypatch):
-    # one lane per block, and a cut every few lanes, against the default
-    # block that holds every lane of these runs; field for field
+    # one lane per block, and each run cut into blocks of about a third of
+    # its points, against the default block that holds every lane of these
+    # runs; field for field.  The runs' lanes range from 17 to 1513 points,
+    # so no one block size cuts every run into blocks of several lanes
     params_y = FlowParams(rho=-0.5, eta=1.0, theta=1.0)
     runs = [
         lambda: check_invariance(SetSpec(SetKind.RICCI_LOG_STATIC, P_NEG), 10, 0.03, 5),
@@ -1079,30 +1105,33 @@ def test_reports_do_not_depend_on_the_block_cut(monkeypatch):
     ]
     real = verifier._run_lanes
 
-    def recorded(states, params, t_end, config, read, uniform):
+    def recorded(states, params, t_end, config, read):
         def read_block(trajs):
             sizes[-1].append(len(trajs))
+            points[-1] += int(integrator._read_lanes(trajs)[2].sum())
             return read(trajs)
-        return real(states, params, t_end, config, read_block, uniform)
+        return real(states, params, t_end, config, read_block)
 
     monkeypatch.setattr(verifier, "_run_lanes", recorded)
 
-    def reports():
+    def reports(blocks):
         out = []
-        for run in runs:
+        for run, block in zip(runs, blocks):
+            monkeypatch.setattr(pinch_functions, "_BLOCK", block)
             sizes.append([])
+            points.append(0)
             out.append(repr(dataclasses.asdict(run())))
         return out
 
-    sizes = []
-    default = reports()
+    sizes, points = [], []
+    default = reports([pinch_functions._BLOCK] * len(runs))
     assert all(len(s) == 1 for s in sizes)
-    for block in (1, 1000):
-        monkeypatch.setattr(pinch_functions, "_BLOCK", block)
+    thirds = [p // 3 for p in points]
+    for blocks in ([1] * len(runs), thirds):
         sizes = []
-        assert reports() == default, block
+        assert reports(blocks) == default, blocks
         assert all(len(s) > 1 for s in sizes), sizes
-        assert block == 1 or all(max(s) > 1 for s in sizes), sizes
+        assert blocks == [1] * len(runs) or all(max(s) > 1 for s in sizes), sizes
 
 
 def test_each_suite_keeps_its_worst_lane_rule(monkeypatch):
